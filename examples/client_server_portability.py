@@ -7,17 +7,17 @@
     identical protocol ... This allows UDF code to be run without
     change at either site."
 
-This script starts a real TCP server (one thread per client, as in
-PREDATOR), connects a client, compiles a UDF locally, verifies and unit-
-tests it in the client's own JaguarVM, then ships the *identical*
-classfile bytes to the server and uses it from SQL.  It also shows the
-server refusing what an untrusted web client must not do: register
-native code into the server process.
+This script starts a real TCP server (statements serialized on one
+worker, as in PREDATOR), connects a client, compiles a UDF locally,
+verifies and unit-tests it in the client's own JaguarVM, then ships the
+*identical* classfile bytes to the server and uses it from SQL.  It
+also shows the server refusing what an untrusted web client must not
+do: register native code into the server process.
 
 Run:  python examples/client_server_portability.py
 """
 
-from repro import Database, DatabaseServer
+from repro import AsyncDatabaseServer, Database
 from repro.server.client import Client, LocalUDFHarness, ServerReportedError
 
 # The user's UDF: a clipped exponential moving average of a series.
@@ -40,7 +40,7 @@ def main() -> None:
     database.insert_row(table, [1, [10.0, 12.0, 11.0, 15.0, 18.0]])
     database.insert_row(table, [2, [5.0, 5.0, 5.0, 5.0, 5.0]])
 
-    with DatabaseServer(database) as server:
+    with AsyncDatabaseServer(database, concurrency=1) as server:
         print(f"server listening on {server.host}:{server.port}")
         with Client(server.host, server.port) as client:
             print(f"connected; session {client.session_id}, "

@@ -14,7 +14,7 @@ Run:  python examples/client_vs_server_udfs.py
 
 import random
 
-from repro import Database, DatabaseServer
+from repro import AsyncDatabaseServer, Database
 from repro.server.client import Client, LocalUDFHarness
 from repro.server.clientexec import ClientSideUDF, compare_strategies
 
@@ -57,7 +57,7 @@ def main() -> None:
             [image_id, location, synth_image(image_id, rng.random())],
         )
 
-    with DatabaseServer(database) as server:
+    with AsyncDatabaseServer(database, concurrency=1) as server:
         with Client(server.host, server.port) as client:
             udf = ClientSideUDF(
                 client=client,

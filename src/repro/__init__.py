@@ -32,18 +32,18 @@ from .core.designs import Design, design_space
 from .core.udf import CostHints, UDFDefinition, UDFSignature
 from .database import Database
 from .errors import ReproError
+from .server.aserver import AsyncDatabaseServer
 from .server.client import Client, LocalUDFHarness
-from .server.server import DatabaseServer
 from .vm.machine import JaguarVM
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "AsyncDatabaseServer",
     "CallbackBroker",
     "Client",
     "CostHints",
     "Database",
-    "DatabaseServer",
     "Design",
     "JaguarVM",
     "LocalUDFHarness",

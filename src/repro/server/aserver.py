@@ -1,10 +1,14 @@
-"""The concurrent multi-session server: asyncio front end.
+"""The database server: an asyncio front end over one embedded database.
 
-Where :class:`~repro.server.server.DatabaseServer` gives every client a
-thread and serializes all execution behind one lock,
-:class:`AsyncDatabaseServer` multiplexes every connection on one event
-loop and dispatches statement *execution* to a bounded worker pool:
+"The server is a single multi-threaded process, with at least one thread
+per connected client" (Section 4).  :class:`AsyncDatabaseServer`
+multiplexes every connection on one event loop and dispatches statement
+*execution* to a bounded pool of ``concurrency`` worker threads:
 
+* **The paper's model is ``concurrency=1``.**  PREDATOR ran concurrent
+  clients but evaluated expressions serially; with one worker,
+  statements from every session run one at a time while all
+  connections stay open.  The default pool runs them concurrently:
 * **Reads run concurrently.**  On start the server enables the
   database's :class:`~repro.storage.mvcc.SnapshotManager`; each SELECT
   pins a snapshot and scans frozen table images, so any number of
@@ -21,15 +25,12 @@ loop and dispatches statement *execution* to a bounded worker pool:
   per-tenant queues, round-robin dequeue, per-tenant thread-group
   budgets, :class:`~repro.errors.AdmissionRefused` over the cap.
 
-The wire protocol is unchanged (same opcodes, same frames — one new
-``OP_RESULT_PART`` for chunked large results), so the existing
-:class:`~repro.server.client.Client` talks to either server; with one
-client the replies are bit-identical to the threaded server's.
-
-The event loop runs on a background thread so ``start()``/``stop()``
-keep the synchronous API of the threaded server.  Per connection,
-frames are handled strictly in order (a session's statements never
-overlap each other); concurrency comes from having many connections.
+The wire protocol is :mod:`repro.server.protocol`; results larger than
+``RESULT_CHUNK_CAP`` stream as ``OP_RESULT_PART`` chunks.  The event
+loop runs on a background thread so ``start()``/``stop()`` are
+synchronous.  Per connection, frames are handled strictly in order (a
+session's statements never overlap each other); concurrency comes from
+having many connections.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Set
 
+from ..core.designs import Design
+from ..core.udf import UDFDefinition, UDFSignature
 from ..database import Database
 from ..errors import ProtocolError
 from . import protocol
@@ -47,14 +50,65 @@ from .admission import (
     DEFAULT_TENANT_SLOTS,
     AdmissionController,
 )
-from .server import build_udf_definition, materialize_rows
 from .session import Session
+
+
+def materialize_rows(database: Database, rows):
+    """Resolve LOB references into bytes before rows leave the server.
+
+    Embedded callers can keep references and stream ranges; a remote
+    client has no access to the server's pages, so projected large
+    objects ship by value (this is what makes the data-shipping
+    strategy of Section 3.1 expensive — measurably so).
+    """
+    from ..storage.lob import LOBRef
+
+    materialized = []
+    for row in rows:
+        if any(isinstance(value, LOBRef) for value in row):
+            row = tuple(
+                database.lobs.read(value)
+                if isinstance(value, LOBRef) else value
+                for value in row
+            )
+        materialized.append(row)
+    return materialized
+
+
+def build_udf_definition(session: Session, payload: bytes) -> UDFDefinition:
+    """Decode an ``OP_REGISTER_UDF`` payload, enforcing session policy."""
+    name, params, ret, design_name, entry, callbacks, udf_payload = (
+        protocol.decode_values(payload, 7)
+    )
+    design = Design(design_name)
+    session.check_design_allowed(design)
+    # A session-level QuotaPolicy caps this session's registrations;
+    # None inherits the server VM's default policy at load time.
+    policy = session.policy
+    return UDFDefinition(
+        name=name,
+        signature=UDFSignature(tuple(params), ret),
+        design=design,
+        payload=bytes(udf_payload),
+        entry=entry,
+        callbacks=tuple(callbacks),
+        # The wire protocol carries no hints; the analyzer derives
+        # them from the (re-verified) payload at registration.
+        cost=None,
+        fuel=policy.fuel if policy is not None else None,
+        memory=policy.memory if policy is not None else None,
+    )
+
 
 DEFAULT_CONCURRENCY = 8
 
 
 class AsyncDatabaseServer:
-    """Concurrent TCP front end over one embedded :class:`Database`."""
+    """TCP front end over one embedded :class:`Database`.
+
+    ``concurrency`` sizes the statement worker pool; ``concurrency=1``
+    is the paper's serialized model (Section 4).
+    """
 
     def __init__(
         self,
@@ -104,24 +158,23 @@ class AsyncDatabaseServer:
             tenant_slots=self.tenant_slots,
             queue_cap=self.tenant_queue_cap,
         )
-        self.database.attach_stats_source("server", self.stats_snapshot)
         self._loop = asyncio.new_event_loop()
-        started = threading.Event()
         self._loop_thread = threading.Thread(
-            target=self._run_loop, args=(started,),
-            name="aserver-loop", daemon=True,
+            target=self._loop.run_forever, name="aserver-loop", daemon=True
         )
         self._loop_thread.start()
-        started.wait(timeout=10.0)
         future = asyncio.run_coroutine_threadsafe(
             self._start_listener(), self._loop
         )
-        future.result(timeout=10.0)
-
-    def _run_loop(self, started: threading.Event) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(started.set)
-        self._loop.run_forever()
+        try:
+            future.result(timeout=10.0)
+        except BaseException:
+            # A failed bind (port in use, bad host) must not leave the
+            # loop thread and the worker pool behind: ``__exit__`` never
+            # runs when ``__enter__`` raises.
+            self._teardown()
+            raise
+        self.database.attach_stats_source("server", self.stats_snapshot)
 
     async def _start_listener(self) -> None:
         self._server = await asyncio.start_server(
@@ -148,20 +201,24 @@ class AsyncDatabaseServer:
         try:
             future.result(timeout=deadline + 10.0)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._loop_thread.join(timeout=5.0)
-            self._loop.close()
-            self._loop = None
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+            self._teardown()
+
+    def _teardown(self) -> None:
+        """Stop the loop, join its thread, and shut the worker pool."""
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._loop_thread.join(timeout=5.0)
+        self._loop.close()
+        self._loop = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     async def _shutdown(self, deadline: float) -> None:
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         end = loop.time() + deadline
         while self._busy and loop.time() < end:
             await asyncio.sleep(0.005)
@@ -217,22 +274,16 @@ class AsyncDatabaseServer:
             writer.close()
 
     async def _recv_frame(self, reader: asyncio.StreamReader):
-        header = await reader.readexactly(protocol._FRAME.size)
-        length, opcode = protocol._FRAME.unpack(header)
-        if length < 1 or length > protocol.MAX_FRAME:
-            raise ProtocolError(f"bad frame length {length}")
-        payload = await reader.readexactly(length - 1)
-        return opcode, payload
+        opcode, length = protocol.parse_header(
+            await reader.readexactly(protocol.HEADER_SIZE)
+        )
+        return opcode, await reader.readexactly(length)
 
     async def _send_frame(
         self, writer: asyncio.StreamWriter, opcode: int,
         payload: bytes = b"",
     ) -> None:
-        if len(payload) + 1 > protocol.MAX_FRAME:
-            raise ProtocolError("frame too large")
-        writer.write(
-            protocol._FRAME.pack(len(payload) + 1, opcode) + payload
-        )
+        writer.write(protocol.pack_frame(opcode, payload))
         await writer.drain()
 
     async def _handle(
@@ -317,7 +368,6 @@ class AsyncDatabaseServer:
         """Server counters for ``db.stats()`` (see attach_stats_source)."""
         with self._state_lock:
             data = {
-                "kind": "async",
                 "concurrency": self.concurrency,
                 "sessions_served": self.sessions_served,
                 "open_connections": len(self._writers),
@@ -327,8 +377,4 @@ class AsyncDatabaseServer:
             data["admission"] = self.admission.stats()
         data["plan_cache"] = self.database.plan_cache.stats()
         data["snapshots"] = self.database.snapshots.stats()
-        if self.database.wal is not None:
-            # Group-commit effectiveness next to the admission counters:
-            # batched writer wakeups show up as mean/max fsync batch.
-            data["wal"] = self.database.wal.stats()
         return data

@@ -55,7 +55,7 @@ class ClientResult:
 
 
 class Client:
-    """A connection to a :class:`~repro.server.server.DatabaseServer`."""
+    """A connection to an :class:`~repro.server.aserver.AsyncDatabaseServer`."""
 
     def __init__(
         self,

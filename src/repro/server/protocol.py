@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ProtocolError
 from . import adtstream
@@ -46,20 +46,37 @@ OP_RESULT_PART = 21   # payload: one chunk of a large OP_RESULT payload
 RESULT_CHUNK_CAP = 1024 * 1024
 
 
-def send_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
+#: Bytes in a frame header; read this many, then :func:`parse_header`.
+HEADER_SIZE = _FRAME.size
+
+
+def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
+    """One whole frame, header included; refuses oversize payloads."""
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError("frame too large")
-    header = _FRAME.pack(len(payload) + 1, opcode)
-    sock.sendall(header + payload)
+    return _FRAME.pack(len(payload) + 1, opcode) + payload
 
 
-def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    header = _recv_exact(sock, _FRAME.size)
+def parse_header(header: bytes) -> Tuple[int, int]:
+    """``(opcode, payload length)`` of a frame header.
+
+    A declared length outside ``1..MAX_FRAME`` raises before any payload
+    byte is read, so a hostile header cannot make a reader allocate or
+    wait for a payload it will never accept.
+    """
     length, opcode = _FRAME.unpack(header)
     if length < 1 or length > MAX_FRAME:
         raise ProtocolError(f"bad frame length {length}")
-    payload = _recv_exact(sock, length - 1)
-    return opcode, payload
+    return opcode, length - 1
+
+
+def send_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
+    sock.sendall(pack_frame(opcode, payload))
+
+
+def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
+    opcode, length = parse_header(_recv_exact(sock, HEADER_SIZE))
+    return opcode, _recv_exact(sock, length)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -30,9 +30,9 @@ re-installed after every write statement, and created on CREATE TABLE).
 Readers therefore *never* build images and never race the writer's page
 mutations.
 
-Nothing here runs unless the manager is enabled — the embedded serial
-engine and the threaded one-statement-at-a-time server read live pages
-exactly as before, which is what the parity suites pin.
+Nothing here runs unless the manager is enabled (the server enables it
+on start) — the embedded engine reads live pages exactly as before,
+which is what the parity suites pin.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.database import Database
+from repro.server.aserver import AsyncDatabaseServer
 from repro.server.client import Client, LocalUDFHarness
 from repro.server.clientexec import ClientSideUDF, compare_strategies
-from repro.server.server import DatabaseServer
 
 DOUBLER = """
 def bigval(data: bytes) -> int:
@@ -24,7 +24,7 @@ def setup():
     for row_id in range(20):
         payload = bytes([row_id * 10] * 2000)  # 2 KB each, spilled to LOB
         database.insert_row(table, [row_id, payload])
-    with DatabaseServer(database) as server:
+    with AsyncDatabaseServer(database, concurrency=1) as server:
         with Client(server.host, server.port) as client:
             udf = ClientSideUDF(
                 client=client,

@@ -1,11 +1,12 @@
 """The concurrent multi-session server, end to end.
 
-Satellite suite for the asyncio front end: serial-replay equality under
-concurrent mixed workloads, snapshot-read isolation while a writer
-commits, shared plan-cache behaviour over the wire, per-tenant admission
-refusal, ``stop()`` drain semantics (both servers), and chunked result
-streaming.  Parity: with one client the async server's results are
-identical to the threaded server's across all six UDF designs.
+Serial-replay equality under concurrent mixed workloads, snapshot-read
+isolation while a writer commits, shared plan-cache behaviour over the
+wire, per-tenant admission refusal, ``start()`` failure cleanup,
+``stop()`` drain semantics, and chunked result streaming.  Parity: the
+server's replies equal the embedded engine's across all six UDF designs,
+at ``concurrency=1`` (the paper's serialized model, also pinned to run
+one statement at a time) and at the default pool size.
 
 The per-table write-lock gate (ROADMAP): concurrent writers on disjoint
 tables must (a) produce exactly the state a serial replay produces —
@@ -14,6 +15,7 @@ including after a durable close/reopen of the WAL-backed database — and
 a writer on table B.
 """
 
+import socket
 import threading
 import time
 
@@ -22,9 +24,8 @@ import pytest
 from repro.core.designs import Design
 from repro.database import Database
 from repro.server import protocol
-from repro.server.aserver import AsyncDatabaseServer
+from repro.server.aserver import DEFAULT_CONCURRENCY, AsyncDatabaseServer
 from repro.server.client import Client, ServerReportedError
-from repro.server.server import DatabaseServer
 
 SETUP = [
     "CREATE TABLE nums (id INT, v FLOAT)",
@@ -81,7 +82,7 @@ GATED_UDF = (
 )
 
 
-# -- parity: one client, all six designs -------------------------------------
+# -- parity with the embedded engine: all six designs -------------------------
 
 DESIGN_SQL = {
     Design.NATIVE_INTEGRATED:
@@ -109,29 +110,43 @@ PARITY_SQL = "SELECT id, arith(id) FROM nums WHERE id <= 4 ORDER BY id"
 
 class TestSingleClientParity:
     @pytest.mark.parametrize(
+        "concurrency", [1, DEFAULT_CONCURRENCY],
+        ids=["serialized", "default"],
+    )
+    @pytest.mark.parametrize(
         "design", list(DESIGN_SQL), ids=lambda d: d.value
     )
-    def test_async_matches_threaded(self, design):
-        create = f"CREATE FUNCTION arith(int) RETURNS int {DESIGN_SQL[design]}"
-        results = {}
-        for kind, server_cls in (
-            ("threaded", DatabaseServer), ("async", AsyncDatabaseServer)
-        ):
-            database = make_db()
-            try:
-                with server_cls(
-                    database, trust_all_clients=True
-                ) as server:
-                    with Client(server.host, server.port) as client:
-                        client.execute(create)
-                        results[kind] = client.execute(PARITY_SQL)
-            finally:
-                database.close()
-        assert results["async"].columns == results["threaded"].columns
-        assert results["async"].rows == results["threaded"].rows
-        assert results["async"].rows == [
-            (1, 4), (2, 7), (3, 10), (4, 13)
+    def test_replies_match_embedded(self, design, concurrency):
+        """Every reply equals ``Database.execute`` on an identically
+        set-up embedded database: the embedded engine is the reference."""
+        script = [
+            f"CREATE FUNCTION arith(int) RETURNS int {DESIGN_SQL[design]}",
+            "INSERT INTO nums VALUES (6, 6.5)",
+            PARITY_SQL,
+            "SELECT count(*), sum(arith(id)) FROM nums",
         ]
+        served = []
+        database = make_db()
+        try:
+            with AsyncDatabaseServer(
+                database, trust_all_clients=True, concurrency=concurrency
+            ) as server:
+                with Client(server.host, server.port) as client:
+                    for sql in script:
+                        result = client.execute(sql)
+                        served.append((result.columns, result.rows))
+        finally:
+            database.close()
+        embedded = make_db()
+        try:
+            expected = []
+            for sql in script:
+                result = embedded.execute(sql)
+                expected.append((result.columns, result.rows))
+        finally:
+            embedded.close()
+        assert served == expected
+        assert served[2][1] == [(1, 4), (2, 7), (3, 10), (4, 13)]
 
     def test_error_frames_match(self, adb):
         with Client(adb.host, adb.port) as client:
@@ -497,17 +512,73 @@ class TestAdmissionOverWire:
             database.close()
 
 
-# -- satellite (a): stop() drains in-flight statements ------------------------
+# -- the paper's serialized model: concurrency=1 -------------------------------
+
+class TestSerializedModel:
+    def test_concurrency_one_serializes_statements(self, gate):
+        database = make_db()
+        try:
+            with AsyncDatabaseServer(
+                database, trust_all_clients=True, concurrency=1
+            ) as server:
+                with Client(server.host, server.port) as setup:
+                    setup.execute(GATED_UDF)
+                slow, fast = {}, {}
+
+                def run(out, sql):
+                    with Client(server.host, server.port) as client:
+                        out["rows"] = client.execute(sql).rows
+
+                t1 = threading.Thread(target=run, args=(
+                    slow, "SELECT gated(id) FROM nums WHERE id = 1"
+                ))
+                t1.start()
+                assert STARTED.wait(5)  # the gated statement holds the worker
+                t2 = threading.Thread(target=run, args=(
+                    fast, "SELECT count(*) FROM nums"
+                ))
+                t2.start()
+                t2.join(timeout=0.5)
+                # Another session, another tenant: only the single worker
+                # keeps its statement waiting.
+                assert "rows" not in fast
+                GATE.set()
+                t1.join(timeout=10)
+                t2.join(timeout=10)
+                assert slow["rows"] == [(1,)]
+                assert fast["rows"] == [(5,)]
+        finally:
+            GATE.set()
+            database.close()
+
+
+# -- start() failure and stop() drain ------------------------------------------
+
+class TestFailedStart:
+    def test_bind_failure_leaves_no_threads(self):
+        database = make_db()
+        occupied = socket.create_server(("127.0.0.1", 0))
+        before = set(threading.enumerate())
+        try:
+            port = occupied.getsockname()[1]
+            with pytest.raises(OSError):
+                with AsyncDatabaseServer(database, port=port):
+                    pass  # pragma: no cover - start() must raise
+            leaked = [
+                t.name for t in threading.enumerate()
+                if t not in before and t.is_alive()
+            ]
+            assert leaked == []
+            assert "server" not in database.stats()
+        finally:
+            occupied.close()
+            database.close()
+
 
 class TestStopDrains:
-    @pytest.mark.parametrize("server_cls", [
-        DatabaseServer, AsyncDatabaseServer,
-    ], ids=["threaded", "async"])
-    def test_stop_during_inflight_statement_delivers_result(
-        self, gate, server_cls
-    ):
+    def test_stop_during_inflight_statement_delivers_result(self, gate):
         database = make_db()
-        server = server_cls(database, trust_all_clients=True)
+        server = AsyncDatabaseServer(database, trust_all_clients=True)
         server.start()
         outcome = {}
         try:
@@ -542,7 +613,7 @@ class TestStopDrains:
             database.close()
 
 
-# -- satellite (c): chunked result streaming ----------------------------------
+# -- chunked result streaming ----------------------------------
 
 class TestChunkedStreaming:
     def test_result_frames_chunking_unit(self):
@@ -567,10 +638,7 @@ class TestChunkedStreaming:
         assert len(frames) == 1
         assert frames[0][0] == protocol.OP_RESULT
 
-    @pytest.mark.parametrize("server_cls", [
-        DatabaseServer, AsyncDatabaseServer,
-    ], ids=["threaded", "async"])
-    def test_large_lob_round_trips(self, server_cls):
+    def test_large_lob_round_trips(self):
         size = protocol.RESULT_CHUNK_CAP + 500_000
         database = Database()
         try:
@@ -578,7 +646,7 @@ class TestChunkedStreaming:
             database.execute(
                 f"INSERT INTO blobs VALUES (7, zerobytes({size}))"
             )
-            with server_cls(database) as server:
+            with AsyncDatabaseServer(database) as server:
                 with Client(server.host, server.port) as client:
                     result = client.execute(
                         "SELECT id, data FROM blobs"
@@ -590,7 +658,7 @@ class TestChunkedStreaming:
             database.close()
 
 
-# -- satellite (b): server counters surface through db.stats() ----------------
+# -- server counters surface through db.stats() --------------------------------
 
 class TestServerStats:
     def test_async_server_counters_in_db_stats(self, adb):
@@ -598,7 +666,6 @@ class TestServerStats:
             client.execute("SELECT count(*) FROM nums")
             client.execute("SELECT count(*) FROM nums")
         stats = adb.database.stats()["server"]
-        assert stats["kind"] == "async"
         assert stats["sessions_served"] >= 1
         # ``completed`` ticks on the worker thread after the reply is
         # already released to the client, so assert on admissions.
@@ -606,18 +673,15 @@ class TestServerStats:
         assert stats["plan_cache"]["hits"] >= 1
         assert stats["snapshots"]["enabled"] is True
 
-    def test_threaded_server_counters(self):
-        database = make_db()
+    def test_wal_counters_reported_once(self, tmp_path):
+        database = Database(str(tmp_path / "db"))
         try:
-            with DatabaseServer(database) as server:
-                database.attach_stats_source(
-                    "server", server.stats_snapshot
-                )
+            with AsyncDatabaseServer(database) as server:
                 with Client(server.host, server.port) as client:
-                    client.execute("SELECT count(*) FROM nums")
-                stats = database.stats()["server"]
-                assert stats["kind"] == "threaded"
-                assert stats["sessions_served"] == 1
+                    client.execute("CREATE TABLE t (id INT)")
+                stats = database.stats()
+                assert "wal" not in stats["server"]
+                assert stats["wal"]["statements_logged"] >= 1
         finally:
             database.close()
 

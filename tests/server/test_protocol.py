@@ -8,7 +8,7 @@ import pytest
 from repro.database import Database
 from repro.errors import ProtocolError
 from repro.server import protocol
-from repro.server.server import DatabaseServer
+from repro.server.aserver import AsyncDatabaseServer
 
 
 class TestFraming:
@@ -76,7 +76,7 @@ class TestServerRobustness:
     def server(self):
         database = Database()
         database.execute("CREATE TABLE t (a INT)")
-        with DatabaseServer(database) as srv:
+        with AsyncDatabaseServer(database, concurrency=1) as srv:
             yield srv
         database.close()
 
@@ -100,6 +100,19 @@ class TestServerRobustness:
         conn.sendall(b"\x05\x00")  # half a frame header
         conn.close()
         # Server keeps accepting.
+        with self.raw_connect(server) as again:
+            protocol.send_frame(again, protocol.OP_PING)
+            assert protocol.recv_frame(again)[0] == protocol.OP_PONG
+
+    @pytest.mark.parametrize(
+        "length", [0, protocol.MAX_FRAME + 1], ids=["zero", "over_max"]
+    )
+    def test_bad_frame_length_closes_connection(self, server, length):
+        with self.raw_connect(server) as conn:
+            # A header alone: the server must hang up without waiting
+            # for (or allocating) the payload it declares.
+            conn.sendall(struct.pack("<IB", length, protocol.OP_EXECUTE))
+            assert conn.recv(1) == b""
         with self.raw_connect(server) as again:
             protocol.send_frame(again, protocol.OP_PING)
             assert protocol.recv_frame(again)[0] == protocol.OP_PONG

@@ -5,8 +5,8 @@ import threading
 import pytest
 
 from repro.database import Database
+from repro.server.aserver import AsyncDatabaseServer
 from repro.server.client import Client, LocalUDFHarness, ServerReportedError
-from repro.server.server import DatabaseServer
 from repro.server.session import Session, UNTRUSTED_DESIGNS
 from repro.core.designs import Design
 from repro.errors import AuthError, ClientError
@@ -19,7 +19,7 @@ def served_db():
     database.execute(
         "INSERT INTO nums VALUES (1, 1.5), (2, 2.5), (3, NULL)"
     )
-    with DatabaseServer(database) as server:
+    with AsyncDatabaseServer(database, concurrency=1) as server:
         yield server
     database.close()
 
@@ -153,7 +153,9 @@ class TestAuthorization:
 
     def test_trusted_server_mode_allows_native(self):
         database = Database()
-        with DatabaseServer(database, trust_all_clients=True) as server:
+        with AsyncDatabaseServer(
+            database, concurrency=1, trust_all_clients=True
+        ) as server:
             with Client(server.host, server.port) as c:
                 assert c.trusted
                 c.register_udf_classfile(

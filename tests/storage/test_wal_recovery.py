@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro.core.designs import Design
 from repro.database import Database
 from repro.errors import SimulatedCrash, WALError
+from repro.server.aserver import AsyncDatabaseServer
 from repro.server.client import Client
-from repro.server.server import DatabaseServer
 from repro.storage.wal import FaultPoint
 from tests.storage.faults import (
     CrashPoint,
@@ -590,7 +590,9 @@ class TestCleanShutdown:
         nothing."""
         path = str(tmp_path / "db")
         database = Database(path)
-        with DatabaseServer(database, trust_all_clients=True) as server:
+        with AsyncDatabaseServer(
+            database, concurrency=1, trust_all_clients=True
+        ) as server:
             with Client(server.host, server.port) as client:
                 client.execute("CREATE TABLE t (id INT, v INT)")
                 client.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
