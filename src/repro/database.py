@@ -76,7 +76,6 @@ class Database:
         inlining: bool = False,
         tiering: bool = False,
         tier1_threshold: Optional[int] = None,
-        wal: Optional[bool] = None,
         group_commit_window: float = 0.0,
         faults=None,
     ):
@@ -90,17 +89,13 @@ class Database:
             data_path = os.path.join(path, "data.pages")
             catalog_path = os.path.join(path, "catalog.json")
             wal_path = os.path.join(path, "wal.log")
-        #: Durability defaults to "on iff persistent": a path-backed
-        #: database gets a write-ahead log (``path/wal.log``) and crash
-        #: recovery on open; an in-memory one has nothing to recover.
-        use_wal = (path is not None) if wal is None else bool(wal)
-        if use_wal and path is None:
-            raise ValueError("WAL requires a path-backed database")
-        self.disk = DiskManager(
-            data_path, page_size=page_size, wal_mode=use_wal, faults=faults
-        )
+        #: The log is the only difference between the two kinds of
+        #: database: a path-backed one gets a write-ahead log
+        #: (``path/wal.log``) and crash recovery on open; an in-memory
+        #: one has nothing to recover.
+        self.disk = DiskManager(data_path, page_size=page_size, faults=faults)
         self.wal: Optional[WriteAheadLog] = None
-        if use_wal:
+        if path is not None:
             self.wal = WriteAheadLog(
                 wal_path,
                 group_window=group_commit_window,
@@ -113,9 +108,7 @@ class Database:
         if self.wal is not None:
             self.pool.attach_wal(self.wal)
         self.lobs = LOBManager(self.pool)
-        self.catalog = Catalog(
-            catalog_path, deferred=use_wal, on_change=self._catalog_changed
-        )
+        self.catalog = Catalog(catalog_path, on_change=self._catalog_changed)
         self.lob_threshold = lob_threshold
 
         self.broker = CallbackBroker()
@@ -162,13 +155,12 @@ class Database:
         #: catalog capture happen atomically under this lock, giving
         #: commit records a global order even with per-table writers.
         self._commit_lock = threading.RLock()
-        if use_wal:
-            # Free-list pops (page allocation) must serialize with
-            # publishes: the free list and geometry only ever change at
-            # commit granularity, so a commit record's geometry never
-            # names free-list state another statement hasn't durably
-            # logged.  See DiskManager.publish_lock.
-            self.disk.publish_lock = self._commit_lock
+        # Free-list pops (page allocation) must serialize with
+        # publishes: the free list and geometry only ever change at
+        # commit granularity, so a commit record's geometry never names
+        # free-list state another statement hasn't published.  See
+        # DiskManager.publish_lock.
+        self.disk.publish_lock = self._commit_lock
         self._table_locks: dict = {}
         self._table_locks_guard = threading.Lock()
         #: MVCC-lite snapshot store (disabled by default — see
@@ -313,13 +305,14 @@ class Database:
         return locks
 
     def _run_write(self, locks: list, body, install):
-        """Execute one mutating operation with WAL durability.
+        """Execute one mutating operation as one commit unit.
 
         The sequence: take the statement's locks, attribute dirty pages
         to this thread, run ``body``, then publish under the commit
-        lock (log the statement's page images + catalog blob, install
-        the MVCC snapshot), release everything, and only then wait for
-        the commit fsync (group commit happens outside all locks, so a
+        lock (thread the statement's frees onto the free list, log its
+        page images + catalog blob if there is a WAL, install the MVCC
+        snapshot), release everything, and only then wait for the
+        commit fsync (group commit happens outside all locks, so a
         sleeping leader never blocks other tables' writers).
 
         A statement that fails *logically* (constraint violation,
@@ -331,7 +324,7 @@ class Database:
         """
         for lock in locks:
             lock.acquire()
-        tracker = self.pool.begin_tracking() if self.wal is not None else None
+        tracker = self.pool.begin_tracking()
         commit_lsn = None
         error = None
         result = None
@@ -344,12 +337,17 @@ class Database:
             except Exception as exc:
                 error = exc
             with self._commit_lock:
+                # Buffered frees join the free list only now, as
+                # tracked page dirties, so the geometry a commit record
+                # captures is backed by chain-pointer images in that
+                # very batch — never by another statement's unlogged
+                # frames.
+                self.pool.publish_frees(tracker)
                 if self.wal is not None:
                     commit_lsn = self._log_statement(tracker)
                 install()
         finally:
-            if tracker is not None:
-                self.pool.end_tracking(tracker)
+            self.pool.end_tracking(tracker)
             for lock in reversed(locks):
                 lock.release()
         if commit_lsn is not None:
@@ -361,14 +359,7 @@ class Database:
     def _log_statement(self, tracker) -> int:
         """Append one statement's redo batch (caller holds the commit
         lock, so the page images + catalog + geometry are a consistent
-        cut).
-
-        Buffered frees are applied first: the freed pages join the
-        free list only now, as tracked page dirties, so the geometry
-        this commit records is backed by chain-pointer images in this
-        very batch — never by another statement's unlogged frames.
-        """
-        self.pool.publish_frees(tracker)
+        cut)."""
         images = self.pool.collect_images(tracker)
         blob = self.catalog.serialize() if tracker.catalog_dirty else None
         lsn = self.wal.log_statement(images, blob, self.disk.geometry())
@@ -376,7 +367,7 @@ class Database:
         return lsn
 
     def _catalog_changed(self) -> None:
-        """Deferred-catalog notification: the running statement changed
+        """Catalog notification: the running statement changed
         schema/UDF state, so its commit must log the catalog blob."""
         tracker = self.pool.current_tracker()
         if tracker is not None:
@@ -500,15 +491,14 @@ class Database:
     ) -> int:
         """Bulk-insert host values, bypassing the SQL parser.
 
-        On a WAL-backed database the batch is chunked into commit
-        units bounded by the buffer pool: a statement's dirty pages
-        are unevictable until its commit is logged, so one unit must
-        fit in the pool (an unchunked million-row batch would exhaust
-        the frames mid-flight).  Each chunk is one commit record and
-        one fsync; a crash keeps a committed prefix of whole chunks
-        (plus the deterministic partial chunk if a row fails
-        logically, same as the seed).  Without a WAL the whole batch
-        is a single unit, byte-identical to the seed.
+        A chunked load: the batch is split into commit units bounded by
+        the buffer pool, in every mode.  With a WAL a statement's dirty
+        pages are unevictable until its commit is logged, so one unit
+        must fit in the pool (an unchunked million-row batch would
+        exhaust the frames mid-flight); each chunk is one commit record
+        and one fsync, and a crash keeps a committed prefix of whole
+        chunks (plus the deterministic partial chunk if a row fails
+        logically).  An in-memory database commits the same units.
         """
         table = self.catalog.get_table(table_name)
         count = 0
@@ -529,7 +519,7 @@ class Database:
                     return
                 self._insert_row_locked(table, list(row))
                 count += 1
-                if tracker is not None and len(tracker.pages) >= budget:
+                if len(tracker.pages) >= budget:
                     return  # commit this unit; continue in the next
 
         while not exhausted:
@@ -598,10 +588,10 @@ class Database:
     ) -> None:
         """Admit a UDF (validating its payload) and persist it.
 
-        Registration is a catalog mutation, so on a WAL-backed database
-        a *direct* call (not via CREATE FUNCTION, which is already
-        inside the write pipeline) runs through the pipeline itself —
-        otherwise the catalog change would never reach the log.
+        A persisted registration is a catalog mutation, so a *direct*
+        call (not via CREATE FUNCTION, which is already inside the
+        write pipeline) runs through the pipeline itself — otherwise
+        the catalog change would never reach the log.
         """
 
         def body():
@@ -620,10 +610,7 @@ class Database:
                     )
                 )
 
-        if (
-            self.wal is not None and persist
-            and self.pool.current_tracker() is None
-        ):
+        if persist and self.pool.current_tracker() is None:
             self._run_write([self._write_lock], body, lambda: None)
         else:
             body()
@@ -634,7 +621,7 @@ class Database:
             if self.catalog.has_udf(name):
                 self.catalog.drop_udf(name)
 
-        if self.wal is not None and self.pool.current_tracker() is None:
+        if self.pool.current_tracker() is None:
             self._run_write([self._write_lock], body, lambda: None)
         else:
             body()
@@ -701,7 +688,8 @@ class Database:
         self.wal.group_window = float(value)
 
     def checkpoint(self) -> None:
-        """Flush everything the WAL describes and truncate the log.
+        """Write back every dirty page and persist the catalog; with a
+        WAL, also truncate the log.
 
         Order matters: make the log durable to its tail (so every
         handed-out commit LSN retires), write back all logged dirty
@@ -711,51 +699,40 @@ class Database:
         idempotent over already-flushed pages.  Runs under the commit
         lock, so no statement can publish mid-checkpoint.
         """
-        if self.wal is None:
-            self.flush()
-            return
         with self._commit_lock:
-            self.wal.ensure_durable(self.wal.tail_lsn())
+            if self.wal is not None:
+                self.wal.ensure_durable(self.wal.tail_lsn())
             self.pool.flush_all()
             self.disk.settle()
-            self.catalog.save(force=True)
-            self.wal.truncate()
+            self.catalog.save()
+            if self.wal is not None:
+                self.wal.truncate()
 
     def flush(self) -> None:
-        if self.wal is not None:
-            self.checkpoint()
-            return
-        self.pool.flush_all()
-        self.disk.sync()
-        self.catalog.save()
+        self.checkpoint()
 
     def close(self) -> None:
-        """Shut down cleanly: a WAL-backed database checkpoints, so the
+        """Shut down cleanly: checkpoint, so a path-backed database's
         log is empty, the data file settled, and reopen recovers
         nothing.  (After an injected crash the storage layer is dead;
         close skips the checkpoint and recovery owns the state.)"""
         self.registry.close()
-        if self.disk is not None:
+        clean = False
+        try:
+            self.checkpoint()
+            clean = True
+        except (SimulatedCrash, WALError):
+            pass  # crashed storage: state belongs to recovery
+        finally:
             if self.wal is not None:
-                clean = False
-                try:
-                    self.checkpoint()
-                    clean = True
-                except (SimulatedCrash, WALError):
-                    pass  # crashed storage: state belongs to recovery
-                finally:
-                    self.wal.close()
-                # After a crashed checkpoint, close the data file
-                # without syncing: the in-memory header may hold
-                # geometry from a crashed, uncommitted statement, and
-                # in WAL mode only checkpoint/recovery may write the
-                # header — a header flushed here would survive reopen
-                # whenever the log holds no complete committed
-                # statement to restore it from.
-                self.disk.close(sync=clean)
-            else:
-                self.pool.flush_all()
-                self.disk.close()
+                self.wal.close()
+        # After a crashed checkpoint, close the data file without
+        # syncing: the in-memory header may hold geometry from a
+        # crashed, uncommitted statement, and only checkpoint/recovery
+        # may write the header — a header flushed here would survive
+        # reopen whenever the log holds no complete committed statement
+        # to restore it from.
+        self.disk.close(sync=clean)
 
     def __enter__(self) -> "Database":
         return self

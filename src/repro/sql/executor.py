@@ -588,7 +588,7 @@ class StatementExecutor:
         table.indexes.append(
             IndexInfo(statement.name, statement.column, tree.root_page)
         )
-        self.db.catalog.save()
+        self.db.catalog.note_change()
         return QueryResult()
 
     def _create_function(self, statement: A.CreateFunction) -> QueryResult:
@@ -759,7 +759,7 @@ class StatementExecutor:
             tree.insert(key, rid)
             if tree.root_page != info.root_page:
                 info.root_page = tree.root_page
-                self.db.catalog.save()
+                self.db.catalog.note_change()
 
     def _index_remove(self, table: TableInfo, rid, row: Sequence[object]) -> None:
         for info in table.indexes:

@@ -23,29 +23,35 @@ disjoint frames, and snapshot readers never touch live frames at all
 diffs against it to copy only the pages a write statement actually
 touched into the next frozen table image.
 
-**Write-ahead logging** (``attach_wal``): each frame carries the LSN of
-the last WAL record describing its contents, and the pool enforces the
-WAL rule — a dirty page may reach the data file only once its latest
-image is durable in the log:
+**One write protocol.**  Every write statement runs tracked:
+
+* Dirty pages are attributed to the statement through a per-thread
+  :class:`DirtyTracker` (write statements are single-threaded below
+  the operator tree, so thread identity is statement identity).
+* Page frees are buffered in the tracker (:meth:`free_page` only
+  records them): the shared free list moves at *commit* granularity.
+  At publish time :meth:`publish_frees` threads the freed pages onto
+  the list as ordinary tracked dirties.
+
+**Write-ahead logging** (``attach_wal``) adds the no-steal rule on top.
+Each frame carries the LSN of the last WAL record describing its
+contents, and a dirty page may reach the data file only once its
+latest image is durable in the log:
 
 * While a write statement executes, its dirtied frames are *pending*
   (``rec_lsn is PENDING``): not yet logged, therefore unevictable and
-  unflushable.  Dirty pages are attributed to the statement through a
-  per-thread :class:`DirtyTracker` (write statements are single-threaded
-  below the operator tree, so thread identity is statement identity).
-* Page frees are buffered in the tracker too (:meth:`free_page` only
-  records them): the shared free list moves at *commit* granularity.
-  At publish time :meth:`publish_frees` threads the freed pages onto
-  the list as ordinary tracked dirties, so their chain-pointer images
-  land in the same WAL batch as the commit record naming the new head.
+  unflushable.  The freed pages' chain-pointer images land in the same
+  WAL batch as the commit record naming the new free-list head.
 * At commit the database logs full images of the tracker's pages and
   stamps the frames with the record LSN (:meth:`note_logged`); from then
   on eviction/flush first ensures the log is durable up to that LSN
   (one ``fsync``, shared via group commit) and only then writes the
   page.
 
-Without an attached WAL every code path is byte-identical to the seed
-behaviour.
+Without a WAL nothing is pending: an in-memory database evicts a
+running statement's pages freely, so its statements are not bounded by
+the pool size.  :meth:`_note_dirty` (the ``PENDING`` mark) and
+:meth:`_writable` are the only places that consult the log.
 """
 
 from __future__ import annotations
@@ -67,26 +73,26 @@ PENDING = object()
 class DirtyTracker:
     """One write statement's dirty-page attribution.
 
-    ``pages`` collects every page the statement dirtied (in first-touch
-    order — the WAL replays images in logged order, so determinism
-    matters); ``freed`` collects the pages it returned to the free list
+    ``pages`` collects every page the statement dirtied, as the keys of
+    an insertion-ordered dict (first-touch order — the WAL replays
+    images in logged order, so determinism matters — with O(1)
+    membership, since an in-memory statement may touch any number of
+    pages); ``freed`` collects the pages it returned to the free list
     (in free order — applied to the disk manager only at publish time,
     see :meth:`BufferPool.publish_frees`, so the shared free list never
-    reflects an uncommitted statement); ``catalog_dirty`` is set by the
-    deferred catalog when the statement changed schema or UDF
-    registrations.
+    reflects an uncommitted statement); ``catalog_dirty`` is set when
+    the statement changed schema or UDF registrations.
     """
 
     __slots__ = ("pages", "freed", "catalog_dirty")
 
     def __init__(self) -> None:
-        self.pages: List[int] = []
+        self.pages: Dict[int, None] = {}
         self.freed: List[int] = []
         self.catalog_dirty = False
 
     def note(self, page_id: int) -> None:
-        if page_id not in self.pages:
-            self.pages.append(page_id)
+        self.pages[page_id] = None
 
 
 class _Frame:
@@ -127,13 +133,13 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        disk.free_list_reader = self._read_free_pointer
 
-    # -- WAL wiring --------------------------------------------------------
+    # -- statement tracking and WAL wiring ---------------------------------
 
     def attach_wal(self, wal) -> None:
         """Enforce the WAL-before-flush rule for every dirty write-back."""
         self.wal = wal
-        self.disk.free_list_reader = self._read_free_pointer
 
     def begin_tracking(self) -> DirtyTracker:
         """Start attributing this thread's dirty pages to a statement."""
@@ -153,10 +159,10 @@ class BufferPool:
             return self._trackers.get(threading.get_ident())
 
     def _note_dirty(self, frame: _Frame) -> None:
-        """WAL bookkeeping for a freshly dirtied frame (lock held)."""
-        if self.wal is None:
-            return
-        frame.rec_lsn = PENDING
+        """Attribute a freshly dirtied frame to the running statement;
+        with a WAL, also pin it in memory until logged (lock held)."""
+        if self.wal is not None:
+            frame.rec_lsn = PENDING
         tracker = self._trackers.get(threading.get_ident())
         if tracker is not None:
             tracker.note(frame.page_id)
@@ -164,8 +170,9 @@ class BufferPool:
     def collect_images(self, tracker: DirtyTracker) -> List[tuple]:
         """Snapshot ``(page_id, bytes)`` for the tracker's pages.
 
-        Pending frames are unevictable, so every tracked page is still
-        resident; runs under the pool lock for a consistent copy.
+        WAL only: pending frames are unevictable, so every tracked page
+        is still resident; runs under the pool lock for a consistent
+        copy.
         """
         with self._lock:
             images = []
@@ -221,10 +228,10 @@ class BufferPool:
 
     def new_page(self) -> tuple:
         """Allocate a fresh page, pinned; returns (page_id, bytes)."""
-        # Allocate before taking the pool lock: in WAL mode the disk
-        # manager rendezvouses with commit publishes on its publish
-        # lock, and a publisher already holds it while touching pool
-        # state — taking it under the pool lock would deadlock.  The
+        # Allocate before taking the pool lock: the disk manager
+        # rendezvouses with commit publishes on its publish lock, and
+        # a publisher already holds it while touching pool state —
+        # taking it under the pool lock would deadlock.  The
         # returned id is exclusively ours either way (popped off the
         # free list or beyond every other statement's reach), so the
         # frame installation below needs no allocation atomicity.
@@ -232,9 +239,9 @@ class BufferPool:
         with self._lock:
             index = self._table.get(page_id)
             if index is not None:
-                # WAL mode reuses free-list pages without the legacy
-                # direct-to-disk zeroing, so the freed page's frame may
-                # still be resident — reuse it in place.
+                # A reused free-list page's frame may still be
+                # resident (the pop read its chain pointer through the
+                # pool) — reuse it in place.
                 frame = self._frames[index]
             else:
                 frame = self._grab_frame()
@@ -281,28 +288,22 @@ class BufferPool:
     # -- freeing -----------------------------------------------------------
 
     def free_page(self, page_id: int) -> None:
-        """Return a page to the free list.
+        """Return a page to the free list when the statement commits.
 
-        Legacy path: forget the frame, then the disk manager writes the
-        free-list pointer in place (seed behaviour, byte-identical).
-        WAL path: only *buffer* the free in the statement's tracker —
-        the shared free list must not reflect an uncommitted statement
-        (a concurrent committer captures ``disk.geometry()`` in its
-        commit record, and a concurrent allocator must never be handed
-        a page whose free is not yet durable).  The chain-pointer
-        writes happen at publish time (:meth:`publish_frees`), under
-        the commit lock, in the same WAL batch as the commit record.
+        Only *buffers* the free in the statement's tracker — the shared
+        free list must not reflect an uncommitted statement (a
+        concurrent committer captures ``disk.geometry()`` in its commit
+        record, and a concurrent allocator must never be handed a page
+        whose free has not published).  The chain-pointer writes happen
+        at publish time (:meth:`publish_frees`), under the commit lock,
+        in the same WAL batch as the commit record.
         """
         with self._lock:
-            if self.wal is None:
-                self.drop_page(page_id)
-                self.disk.free_page(page_id)
-                return
             tracker = self._trackers.get(threading.get_ident())
             if tracker is None:
                 raise BufferPoolError(
-                    f"WAL-mode free of page {page_id} outside a tracked "
-                    f"write statement (the free could never be logged)"
+                    f"free of page {page_id} outside a tracked write "
+                    f"statement (the free could never be published)"
                 )
             tracker.freed.append(page_id)
 
@@ -313,7 +314,7 @@ class BufferPool:
         database's commit lock held and *before*
         :meth:`collect_images`: each freed page is threaded onto the
         free list (zeroed, chain pointer to the previous head) as an
-        ordinary tracked page dirty, so the commit batch logs the
+        ordinary tracked page dirty, so a WAL commit batch logs the
         pointer images alongside the geometry that names the new head.
         """
         with self._lock:
@@ -328,8 +329,8 @@ class BufferPool:
             tracker.freed.clear()
 
     def _read_free_pointer(self, page_id: int) -> int:
-        """Free-list traversal for the disk manager (WAL mode): the
-        freed page's latest bytes may be an unflushed frame."""
+        """Free-list traversal for the disk manager: the freed page's
+        latest bytes may be an unflushed frame."""
         with self.pinned(page_id) as data:
             (next_free,) = struct.unpack_from("<I", data, 0)
             return next_free
@@ -353,22 +354,6 @@ class BufferPool:
                         and self._writable(frame)):
                     self.disk.write_page(frame.page_id, bytes(frame.data))
                     frame.dirty = False
-
-    def drop_page(self, page_id: int) -> None:
-        """Forget a page (after it was freed on disk)."""
-        with self._lock:
-            index = self._table.pop(page_id, None)
-            if index is not None:
-                frame = self._frames[index]
-                if frame.pin_count:
-                    raise BufferPoolError(
-                        f"cannot drop pinned page {page_id}"
-                    )
-                frame.page_id = None
-                frame.dirty = False
-                frame.referenced = False
-                frame.rec_lsn = None
-            self._page_versions.pop(page_id, None)
 
     # -- replacement --------------------------------------------------------------
 

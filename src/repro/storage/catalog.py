@@ -140,21 +140,17 @@ class UDFInfo:
 class Catalog:
     """In-memory catalog with explicit save/load.
 
-    With ``deferred=True`` (set by a WAL-backed database) the eager
-    ``save()`` calls sprinkled through DDL paths stop writing the
-    sidecar file directly — each becomes a notification (``on_change``)
-    so the current statement is marked catalog-dirty; the statement's
-    commit then logs the full serialized catalog in the WAL, and the
-    sidecar file itself is rewritten only at checkpoints
-    (``save(force=True)``).  Crash recovery restores it from the last
-    committed CATALOG record, so an in-place sidecar write can never
-    expose uncommitted DDL.
+    Mutations never write the sidecar file: each one signals a change
+    (:meth:`note_change`, which calls ``on_change``) so the current
+    statement is marked catalog-dirty, and a path-backed database's
+    commit logs the full serialized catalog in the WAL.  The sidecar
+    file is rewritten only by an explicit :meth:`save` at checkpoints.
+    Crash recovery restores it from the last committed CATALOG record,
+    so an in-place sidecar write can never expose uncommitted DDL.
     """
 
-    def __init__(self, path: Optional[str] = None, deferred: bool = False,
-                 on_change=None):
+    def __init__(self, path: Optional[str] = None, on_change=None):
         self.path = path
-        self.deferred = deferred
         self.on_change = on_change
         self.tables: Dict[str, TableInfo] = {}
         self.udfs: Dict[str, UDFInfo] = {}
@@ -180,7 +176,7 @@ class Catalog:
                 raise CatalogError(f"table {table.name!r} already exists")
             self.tables[key] = table
             self.epoch += 1
-            self.save()
+            self.note_change()
 
     def get_table(self, name: str) -> TableInfo:
         with self._lock:
@@ -196,7 +192,7 @@ class Catalog:
             except KeyError:
                 raise CatalogError(f"unknown table {name!r}") from None
             self.epoch += 1
-            self.save()
+            self.note_change()
             return table
 
     def has_table(self, name: str) -> bool:
@@ -212,7 +208,7 @@ class Catalog:
                 raise CatalogError(f"function {udf.name!r} already exists")
             self.udfs[key] = udf
             self.epoch += 1
-            self.save()
+            self.note_change()
 
     def get_udf(self, name: str) -> UDFInfo:
         with self._lock:
@@ -226,7 +222,7 @@ class Catalog:
             if self.udfs.pop(name.lower(), None) is None:
                 raise CatalogError(f"unknown function {name!r}")
             self.epoch += 1
-            self.save()
+            self.note_change()
 
     def has_udf(self, name: str) -> bool:
         with self._lock:
@@ -243,12 +239,14 @@ class Catalog:
             }
             return json.dumps(blob, indent=1).encode("utf-8")
 
-    def save(self, force: bool = False) -> None:
+    def note_change(self) -> None:
+        """Signal that the catalog's persistent form changed."""
+        if self.on_change is not None:
+            self.on_change()
+
+    def save(self) -> None:
+        """Write the sidecar file (atomically; no-op in memory)."""
         if self.path is None:
-            return
-        if self.deferred and not force:
-            if self.on_change is not None:
-                self.on_change()
             return
         with self._lock:
             data = self.serialize()

@@ -9,37 +9,34 @@ File layout::
     page 0   header: magic, page size, page count, free-list head
     page 1+  data pages
 
-Freed pages store the id of the next free page in their first 8 bytes.
+Freed pages store the id of the next free page in their first 4 bytes.
 
-**WAL mode** (``wal_mode=True``, set by a :class:`~repro.database.Database`
-with a write-ahead log): the manager stops writing metadata eagerly.
-The header is kept in memory and flushed only at checkpoints (its
-durable copy lives in the WAL's commit records), page allocation no
-longer zero-extends the file (pages reach the file only through the
-buffer pool's WAL-gated flushes), and the free list is maintained by
-the buffer pool (:meth:`~repro.storage.buffer.BufferPool.free_page`)
-so that free-list writes are ordinary logged page dirties instead of
-in-place file writes that crash recovery could not undo.  Without WAL
-mode every code path is byte-identical to the seed behaviour.
+The manager writes no metadata eagerly.  The header lives in memory and
+reaches the file only at checkpoints (:meth:`settle`) and on
+:meth:`close`; a path-backed database keeps its durable copy in the
+WAL's commit records between checkpoints.  Allocation does not
+zero-extend the file: a new page exists only in the buffer pool until
+a write-back extends the file.  The free list is maintained by the
+buffer pool (:meth:`~repro.storage.buffer.BufferPool.free_page`), so
+free-list writes are ordinary page dirties of the freeing statement.
 
-Free-list mutations are **commit-granular** in WAL mode: a statement
-that frees pages only buffers them in its
+Free-list mutations are **commit-granular**: a statement that frees
+pages only buffers them in its
 :class:`~repro.storage.buffer.DirtyTracker`; the buffer pool applies
 them (:meth:`note_freed` + the chain-pointer page dirties) at publish
-time, under the database's commit lock and in the same WAL batch as
-the commit record that captures the resulting :meth:`geometry`.  Pops
-from the free list (:meth:`allocate_page`) take the same lock
-(:attr:`publish_lock`).  The invariant this buys: whenever a commit
-record names a ``free_head``, every chain pointer reachable from it
-was logged by that or an earlier committed statement — recovery can
-never restore a free list that threads through unlogged page bytes,
-and a page freed by a still-uncommitted statement can never be handed
-back out by :meth:`allocate_page`.
+time, under the database's commit lock (and, with a WAL, in the same
+batch as the commit record that captures the resulting
+:meth:`geometry`).  Pops from the free list (:meth:`allocate_page`)
+take the same lock (:attr:`publish_lock`).  The invariant this buys:
+whenever a commit record names a ``free_head``, every chain pointer
+reachable from it was logged by that or an earlier committed
+statement, and a page freed by a still-uncommitted statement can never
+be handed back out by :meth:`allocate_page`.
 
 All mutating entry points are serialized by an internal lock: with
 per-table write locks above, two writers on disjoint tables may
 allocate or free pages concurrently (allocations briefly rendezvous on
-:attr:`publish_lock` in WAL mode).
+:attr:`publish_lock`).
 
 Every file write funnels through the :class:`~repro.storage.wal.FaultPoint`
 hook (site ``"disk.write"``), so the fault-injection harness can kill
@@ -75,7 +72,6 @@ class DiskManager:
         self,
         path: Optional[str] = None,
         page_size: int = PAGE_SIZE,
-        wal_mode: bool = False,
         faults=None,
     ):
         from .wal import NO_FAULTS
@@ -84,24 +80,23 @@ class DiskManager:
             raise DiskError(f"page size {page_size} is too small")
         self.path = path
         self.page_size = page_size
-        self.wal_mode = wal_mode
         self.faults = faults if faults is not None else NO_FAULTS
         self._dead = False
         self._lock = threading.RLock()
-        #: WAL mode: serializes free-list pops and commit publishes.
-        #: A :class:`~repro.database.Database` replaces this with its
+        #: Serializes free-list pops and commit publishes.  A
+        #: :class:`~repro.database.Database` replaces this with its
         #: commit lock so allocate-from-free-list cannot interleave
         #: with another statement's publish-time frees — the free list
         #: only ever changes at commit granularity.  Lock order:
-        #: publish_lock < _lock < (buffer pool lock).
+        #: publish_lock < (buffer pool lock) < _lock.
         self.publish_lock = threading.RLock()
         self._mem: Optional[list] = None
         self._file = None
         self._free_head = NO_PAGE
         self._npages = 1  # page 0 is the header
-        #: WAL mode only: reads a freed page's next-pointer *through the
-        #: buffer pool* (its latest bytes may be an unflushed frame).
-        #: Installed by the pool; the legacy path never needs it.
+        #: Reads a freed page's next-pointer *through the buffer pool*
+        #: (its latest bytes may be an unflushed frame).  Installed by
+        #: the pool at construction.
         self.free_list_reader: Optional[Callable[[int], int]] = None
         # Unbuffered file: page writes must reach the OS when issued
         # (Python-level buffering would make a "kill -9" lose writes the
@@ -114,7 +109,7 @@ class DiskManager:
         else:
             self._file = open(path, "w+b", buffering=0)
             self._file.write(bytes(page_size))
-            self._flush_header(force=True)
+            self._flush_header()
             # A fresh file's header must be durable before the first
             # commit is acknowledged — recovery cannot replay into a
             # file without a valid header.
@@ -151,13 +146,11 @@ class DiskManager:
         self._npages = npages
         self._free_head = free_head
 
-    def _flush_header(self, force: bool = False) -> None:
-        """Write the header page.  In WAL mode the in-memory header is
-        authoritative between checkpoints (the WAL logs it with every
-        commit), so only forced (checkpoint/recovery) writes happen."""
+    def _flush_header(self) -> None:
+        """Write the header page.  The in-memory header is authoritative
+        between checkpoints (the WAL logs it with every commit), so only
+        checkpoints, recovery and a clean close call this."""
         if self._file is None:
-            return
-        if self.wal_mode and not force:
             return
         self._write_at(
             0,
@@ -200,69 +193,33 @@ class DiskManager:
             self._free_head = free_head
 
     def allocate_page(self) -> int:
-        """Return a zeroed page id, reusing the free list when possible.
+        """Return a fresh page id, reusing the free list when possible.
 
-        WAL mode: the free-list pop runs under :attr:`publish_lock`, so
-        it serializes with commit publishes — a page freed by a
-        statement becomes allocatable only once that statement's commit
-        (which logs the chain-pointer image and the new geometry) has
-        published.
+        The free-list pop runs under :attr:`publish_lock`, so it
+        serializes with commit publishes — a page freed by a statement
+        becomes allocatable only once that statement's commit has
+        published.  The chain pointer is read through the buffer pool
+        (the freed page's latest bytes may live there) without holding
+        :attr:`_lock`, which keeps the lock order pool < ``_lock``; the
+        pool zeroes the reused page's frame.  A new page is not written
+        to the file here: it reaches the file through a write-back.
         """
-        if self.wal_mode:
-            with self.publish_lock:
-                return self._allocate_page_locked()
-        return self._allocate_page_locked()
-
-    def _allocate_page_locked(self) -> int:
-        with self._lock:
-            if self._free_head != NO_PAGE:
-                page_id = self._free_head
-                if self.wal_mode:
-                    # The freed page's latest bytes may live in the
-                    # buffer pool; read the chain pointer through it.
-                    # Zeroing happens in the pool frame, not the file.
-                    self._free_head = self.free_list_reader(page_id)
-                else:
-                    raw = self.read_page(page_id)
-                    (self._free_head,) = struct.unpack_from("<I", raw, 0)
-                    self.write_page(page_id, bytes(self.page_size))
-                    self._flush_header()
+        with self.publish_lock:
+            page_id = self._free_head
+            if page_id != NO_PAGE:
+                next_free = self.free_list_reader(page_id)
+                with self._lock:
+                    self._free_head = next_free
                 return page_id
-            page_id = self._npages
-            self._npages += 1
-            if self._mem is not None:
-                self._mem.append(bytes(self.page_size))
-            elif not self.wal_mode:
-                self._write_at(page_id * self.page_size,
-                               bytes(self.page_size))
-                self._flush_header()
-            # WAL mode: no eager extension — the page exists only in the
-            # pool until a WAL-gated flush writes it (extending the file
-            # then); recovery recreates it from its logged image.
-            return page_id
-
-    def free_page(self, page_id: int) -> None:
-        """Return a page to the free list (legacy direct-write path).
-
-        In WAL mode the buffer pool owns freeing (the free-list pointer
-        write must be a logged page dirty, not an in-place file write) —
-        see :meth:`~repro.storage.buffer.BufferPool.free_page`, which
-        calls :meth:`note_freed` instead.
-        """
-        with self._lock:
-            if self.wal_mode:
-                raise DiskError(
-                    "free_page bypasses the WAL; use BufferPool.free_page"
-                )
-            self._check(page_id)
-            head = bytearray(self.page_size)
-            struct.pack_into("<I", head, 0, self._free_head)
-            self.write_page(page_id, bytes(head))
-            self._free_head = page_id
-            self._flush_header()
+            with self._lock:
+                page_id = self._npages
+                self._npages += 1
+                if self._mem is not None:
+                    self._mem.append(bytes(self.page_size))
+                return page_id
 
     def note_freed(self, page_id: int) -> int:
-        """WAL mode: record ``page_id`` as the new free-list head;
+        """Record ``page_id`` as the new free-list head;
         returns the previous head (what the page's chain pointer must
         name).  Called only at publish time
         (:meth:`~repro.storage.buffer.BufferPool.publish_frees`), with
@@ -330,7 +287,7 @@ class DiskManager:
                 return
             self._file.flush()
             self._file.truncate(self._npages * self.page_size)
-            self._flush_header(force=True)
+            self._flush_header()
             self._file.flush()
             os.fsync(self._file.fileno())
 
@@ -344,7 +301,7 @@ class DiskManager:
                 if not self.faults.fsync("disk.sync"):
                     self._dead = True
                     raise SimulatedCrash("data-file fsync failed")
-                self._flush_header(force=self.wal_mode)
+                self._flush_header()
                 self._file.flush()
                 os.fsync(self._file.fileno())
 
@@ -355,7 +312,7 @@ class DiskManager:
         in particular without writing the in-memory header.  A
         WAL-backed database closes this way after a crashed checkpoint
         (dead WAL): the header may hold geometry mutated by the crashed,
-        uncommitted statement, and in WAL mode only a checkpoint or
+        uncommitted statement, and only a checkpoint or
         recovery may write the header to the data file.
         """
         with self._lock:

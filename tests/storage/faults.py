@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 from repro.database import Database
 from repro.errors import SimulatedCrash, WALError
@@ -156,6 +157,19 @@ def check_free_list(db: Database) -> list:
         with db.pool.pinned(page_id) as data:
             (page_id,) = struct.unpack_from("<I", data, 0)
     return seen
+
+
+@contextmanager
+def tracked_statement(pool):
+    """Run the block as one tracked write statement on a bare buffer
+    pool: its page frees publish at the end, as a database commit
+    publishes them."""
+    tracker = pool.begin_tracking()
+    try:
+        yield tracker
+        pool.publish_frees(tracker)
+    finally:
+        pool.end_tracking(tracker)
 
 
 def fingerprint(path: str) -> dict:

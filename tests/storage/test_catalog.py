@@ -90,6 +90,8 @@ class TestPersistence:
         catalog = Catalog(path)
         catalog.add_table(sample_table())
         catalog.add_udf(sample_udf())
+        assert not os.path.exists(path)  # mutations never write the file
+        catalog.save()
 
         reloaded = Catalog(path)
         table = reloaded.get_table("t")
@@ -105,8 +107,11 @@ class TestPersistence:
         path = str(tmp_path / "catalog.json")
         catalog = Catalog(path)
         catalog.add_table(sample_table("a"))
+        catalog.save()
         catalog.add_table(sample_table("b"))
+        catalog.save()
         assert not os.path.exists(path + ".tmp")
+        assert Catalog(path).has_table("b")
 
     def test_memory_catalog_never_touches_disk(self):
         catalog = Catalog(None)

@@ -7,6 +7,19 @@ import pytest
 from repro.errors import BufferPoolError, DiskError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, NO_PAGE
+from tests.storage.faults import tracked_statement
+
+
+def make_pool(path=None):
+    """A disk manager and the buffer pool that maintains its free list."""
+    disk = DiskManager(path, page_size=256)
+    return disk, BufferPool(disk, capacity=4)
+
+
+def allocate(pool) -> int:
+    page, __ = pool.new_page()
+    pool.unpin(page, dirty=True)
+    return page
 
 
 class TestDiskManager:
@@ -33,22 +46,46 @@ class TestDiskManager:
             disk.write_page(page, b"short")
 
     def test_free_list_reuse(self):
-        disk = DiskManager(None, page_size=256)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        disk.free_page(first)
-        assert disk.allocate_page() == first
-        assert disk.allocate_page() == disk.num_pages - 1
+        disk, pool = make_pool()
+        first = allocate(pool)
+        second = allocate(pool)
+        with tracked_statement(pool):
+            pool.free_page(first)
+            # Buffered, not yet on the list: allocation extends.
+            assert disk.geometry()[1] == NO_PAGE
+        assert disk.geometry()[1] == first
+        assert allocate(pool) == first
+        assert allocate(pool) == disk.num_pages - 1
         assert second == 2
 
     def test_freed_page_zeroed_on_reuse(self):
-        disk = DiskManager(None, page_size=256)
-        page = disk.allocate_page()
-        disk.write_page(page, b"x" * 256)
-        disk.free_page(page)
-        reused = disk.allocate_page()
+        disk, pool = make_pool()
+        page, data = pool.new_page()
+        data[:] = b"x" * 256
+        pool.unpin(page, dirty=True)
+        pool.flush_all()
+        with tracked_statement(pool):
+            pool.free_page(page)
+        reused, data = pool.new_page()
         assert reused == page
+        assert bytes(data) == bytes(256)
+        pool.unpin(reused, dirty=True)
+        pool.flush_all()
         assert disk.read_page(reused) == bytes(256)
+
+    def test_free_list_persisted(self, tmp_path):
+        path = str(tmp_path / "pages.db")
+        disk, pool = make_pool(path)
+        with disk:
+            a = allocate(pool)
+            allocate(pool)
+            with tracked_statement(pool):
+                pool.free_page(a)
+            pool.flush_all()
+        disk, pool = make_pool(path)
+        with disk:
+            assert disk.geometry()[1] == a
+            assert allocate(pool) == a
 
     def test_persistence_roundtrip(self, tmp_path):
         path = str(tmp_path / "pages.db")
@@ -57,15 +94,6 @@ class TestDiskManager:
             disk.write_page(page, b"p" * 256)
         with DiskManager(path, page_size=256) as disk:
             assert disk.read_page(page) == b"p" * 256
-
-    def test_free_list_persisted(self, tmp_path):
-        path = str(tmp_path / "pages.db")
-        with DiskManager(path, page_size=256) as disk:
-            a = disk.allocate_page()
-            disk.allocate_page()
-            disk.free_page(a)
-        with DiskManager(path, page_size=256) as disk:
-            assert disk.allocate_page() == a
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.db")
@@ -134,12 +162,6 @@ class TestBufferPool:
         pool.flush_all()
         assert disk.read_page(page)[:2] == b"zz"
 
-    def test_drop_pinned_page_refused(self):
-        disk, pool = self.make()
-        page, __ = pool.new_page()
-        with pytest.raises(BufferPoolError):
-            pool.drop_page(page)
-
     def test_hit_rate(self):
         disk, pool = self.make()
         page, __ = pool.new_page()
@@ -148,3 +170,4 @@ class TestBufferPool:
             pool.fetch(page)
             pool.unpin(page)
         assert pool.hit_rate > 0.5
+

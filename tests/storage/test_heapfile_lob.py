@@ -9,6 +9,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.lob import LOBManager
+from tests.storage.faults import tracked_statement
 
 
 @pytest.fixture
@@ -68,7 +69,9 @@ class TestHeapFile:
         for __ in range(50):
             heap.insert(bytes(100))
         before = pool.disk.num_pages
-        heap.drop()
+        with tracked_statement(pool) as tracker:
+            heap.drop()
+            assert len(tracker.freed) == before - 1
         fresh = HeapFile.create(pool)
         for __ in range(50):
             fresh.insert(bytes(100))
@@ -113,7 +116,8 @@ class TestLOB:
         lobs = LOBManager(pool)
         ref = lobs.write(bytes(3000))
         before = pool.disk.num_pages
-        lobs.free(ref)
+        with tracked_statement(pool):
+            lobs.free(ref)
         ref2 = lobs.write(bytes(3000))
         assert pool.disk.num_pages == before  # pages reused
 
