@@ -4,6 +4,10 @@ The verifier proves type and stack safety; this package answers the
 *semantic* questions the rest of the system wants answered before a UDF
 ever runs:
 
+* :mod:`~repro.analysis.context` — :func:`analyze`, the one pass
+  pipeline (effects → bounds → flows → decompile) over a per-class
+  context built once: each function's CFG, the intra-class call graph's
+  SCC order, and the bounds certifier's interval states;
 * :mod:`~repro.analysis.cfg` — basic blocks, dominators, natural loops;
 * :mod:`~repro.analysis.effects` — purity/effect summaries (natives,
   callbacks, allocation, termination) closed over the call graph;
@@ -25,11 +29,11 @@ ever runs:
 * :mod:`~repro.analysis.lint` — the ``python -m repro.analysis`` CLI
   (plus the ``bounds`` and ``inline`` subcommands).
 
-The class loader invokes :func:`analyze_class`, :func:`certify_class`,
-and :func:`decompile_class` right after verification, so every loaded
-``FunctionDef`` carries a ``summary``, a ``certificate``, and an
-``inline`` result, and every ``ClassFile`` an ``analysis`` and a
-``certificates`` rollup.  Consumers:
+The class loader and every lint subcommand invoke :func:`analyze` right
+after verification, with the resolver that verified the class, so
+every loaded ``FunctionDef`` carries a ``summary``, a ``certificate``,
+``flows`` and an ``inline`` result, and every ``ClassFile`` an
+``analysis``, a ``certificates`` and a ``flows`` rollup.  Consumers:
 the security manager (static pre-checks at load, including the
 minimum-consumption bounds gate), the interpreter/JIT (per-instruction
 metering elision), thread-group admission control, the optimizer
@@ -45,6 +49,7 @@ from .bounds import (
     constant_bound,
 )
 from .cfg import CFG, BasicBlock, Loop, build_cfg
+from .context import ClassContext, analyze
 from .costs import (
     ASSUMED_TRIP_COUNT,
     DERIVED_SELECTIVITY,
@@ -67,6 +72,7 @@ __all__ = [
     "Bound",
     "CFG",
     "ClassCertificates",
+    "ClassContext",
     "ClassSummary",
     "DERIVED_SELECTIVITY",
     "Finding",
@@ -78,6 +84,7 @@ __all__ = [
     "LoopBound",
     "OPCODE_WEIGHTS",
     "ResourceCertificate",
+    "analyze",
     "analyze_class",
     "build_cfg",
     "certify_class",

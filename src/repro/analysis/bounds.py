@@ -8,7 +8,7 @@ metering — a fuel decrement and check on every interpreted instruction
 time, so the hot path can skip those checks for code that cannot run
 away.
 
-The certifier is an abstract interpreter over the CFG of PR 1:
+The certifier is an abstract interpreter over each function's CFG:
 
 * **interval domain** per local slot and operand-stack position, with
   widening at natural-loop headers so fixpoints converge fast;
@@ -65,8 +65,8 @@ from ..vm.opcodes import Instr, Op
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
-from .cfg import Loop, build_cfg
-from .effects import _sccs
+from .cfg import Loop, function_cfg
+from .context import ClassContext, ForeignLookup
 from .intervals import (
     Bound,
     INF,
@@ -385,46 +385,52 @@ class ClassCertificates:
         )
 
 
-#: Resolves a foreign (class, function) reference to its certificate,
-#: or None when unavailable (treated as unbounded).
-ForeignCertificates = Callable[[str, str], Optional[ResourceCertificate]]
-
-
 def certify_class(
-    cls: ClassFile,
-    resolver: Optional[Resolver] = None,
-    foreign_certificate: Optional[ForeignCertificates] = None,
+    cls: ClassFile, resolver: Optional[Resolver] = None
 ) -> ClassCertificates:
-    """Certify every function of a *verified* class; attach certificates.
+    """Certify every function of a *verified* class on its own.
+
+    The class loader and the lint CLI run this pass through
+    :func:`~repro.analysis.context.analyze`; this entry point is for
+    callers that want the certificates alone (``resolver`` defaults to
+    the class linking against itself).
+    """
+    return certify(ClassContext(cls, resolver or self_resolver(cls)))
+
+
+def interval_states(context: ClassContext, name: str) -> _FunctionCertifier:
+    """Function ``name``'s certifier with its interval fixpoint solved.
+
+    Solved once per context: the bounds pass certifies from these
+    states and the flow pass's trap-safety check walks them again.  The
+    states depend only on the class and its resolver, never on callee
+    certificates, so either pass may solve them first.
+    """
+    certifier = context.intervals.get(name)
+    if certifier is None:
+        certifier = _FunctionCertifier(
+            context.cls, context.cls.functions[name], context.resolver,
+            context.certificates, context.foreign,
+        )
+        certifier._fixpoint()
+        context.intervals[name] = certifier
+    return certifier
+
+
+def certify(context: ClassContext) -> ClassCertificates:
+    """The bounds pass: attach certificates to every function and class.
 
     Each ``FunctionDef`` gains a ``certificate`` attribute and the class
-    a ``cls.certificates`` rollup.  Functions are processed one SCC at a
+    a ``cls.certificates`` rollup.  Functions are certified one SCC at a
     time in reverse topological order; calls into a not-yet-final
     certificate (recursion) or an unresolvable foreign class yield ⊤
     fuel/memory/depth — dynamic metering remains their backstop.
     """
-    if not cls.verified:
-        raise ValueError(
-            f"class {cls.name!r} must be verified before certification"
-        )
-    if resolver is None:
-        resolver = self_resolver(cls)
-    graph: Dict[str, List[str]] = {}
-    for name, func in cls.functions.items():
-        callees: List[str] = []
-        for ins in func.code:
-            if ins.op is Op.CALL:
-                class_name, func_name = cls.constant(ins.arg, K_FUNC)
-                if class_name == cls.name and func_name in cls.functions:
-                    callees.append(func_name)
-        graph[name] = callees
-    certificates: Dict[str, ResourceCertificate] = {}
-    for component in _sccs(graph):
+    cls = context.cls
+    certificates = context.certificates
+    for component in context.sccs:
         for name in component:
-            certificates[name] = _FunctionCertifier(
-                cls, cls.functions[name], resolver,
-                certificates, foreign_certificate,
-            ).certify()
+            certificates[name] = interval_states(context, name).certify()
     for name, func in cls.functions.items():
         func.certificate = certificates[name]
     rollup = ClassCertificates(class_name=cls.name, functions=certificates)
@@ -461,7 +467,7 @@ class _FunctionCertifier:
         func: FunctionDef,
         resolver: Resolver,
         intra: Dict[str, ResourceCertificate],
-        foreign: Optional[ForeignCertificates],
+        foreign: Optional[ForeignLookup],
     ):
         self.cls = cls
         self.func = func
@@ -469,7 +475,7 @@ class _FunctionCertifier:
         self.resolver = resolver
         self.intra = intra
         self.foreign = foreign
-        self.cfg = build_cfg(func.code)
+        self.cfg = function_cfg(func)
         self.entry_state = self._entry_state()
         self.in_states: List[Optional[_State]] = (
             [None] * len(self.cfg.blocks)
@@ -481,7 +487,7 @@ class _FunctionCertifier:
     # -- driver -------------------------------------------------------------
 
     def certify(self) -> ResourceCertificate:
-        self._fixpoint()
+        """The certificate, read off the solved interval states."""
         trips = {
             loop.header: self._loop_trip(loop) for loop in self.cfg.loops
         }
@@ -671,8 +677,9 @@ class _FunctionCertifier:
     def _step_call(self, pc: int, ins: Instr, stack: List[AbsVal]) -> None:
         signature = self._call_signature(ins)
         if signature is None:
-            # Unresolvable (should not happen for verified code):
-            # recover the proven post-call depth from the verifier.
+            # Unresolvable (the verifying resolver never gets here):
+            # recover the proven post-call depth from the verifier and
+            # assume nothing about the slot a result would occupy.
             depth = (
                 self.func.stack_in[pc + 1]
                 if self.func.stack_in is not None
@@ -682,6 +689,8 @@ class _FunctionCertifier:
             del stack[depth:]
             while len(stack) < depth:
                 stack.append(_OTHER)
+            if stack:
+                stack[-1] = _OTHER
             return
         params, ret = signature
         del stack[len(stack) - len(params):]
@@ -931,7 +940,9 @@ class _FunctionCertifier:
         if class_name == self.cls.name:
             callee_cert = self.intra.get(func_name)
         elif self.foreign is not None:
-            callee_cert = self.foreign(class_name, func_name)
+            callee_cert = getattr(
+                self.foreign(class_name, func_name), "certificate", None
+            )
         else:
             callee_cert = None
         substitution: Dict[str, OptBound] = {}

@@ -99,6 +99,17 @@ def build_cfg(code: Sequence[Instr]) -> CFG:
                loop_depth=loop_depth, dominators=dominators)
 
 
+def function_cfg(func) -> CFG:
+    """``func``'s CFG, built on first use and kept on the function.
+
+    Every load-time pass reads the CFG through here, so each verified
+    function's graph is constructed exactly once.
+    """
+    if func.cfg is None:
+        func.cfg = build_cfg(func.code)
+    return func.cfg
+
+
 def _basic_blocks(code: Sequence[Instr]) -> List[BasicBlock]:
     leaders = {0}
     for pc, ins in enumerate(code):

@@ -53,7 +53,7 @@ from ..sql import ast_nodes as A
 from ..vm.classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_STR
 from ..vm.opcodes import Instr, Op
 from ..vm.values import INT_MAX, INT_MIN, VMType, default_value, wrap_int
-from .cfg import build_cfg
+from .cfg import function_cfg
 
 #: Refusal reason codes (the full taxonomy; CLI and EXPLAIN print these).
 REASON_LOOP = "loop"
@@ -210,7 +210,7 @@ def _run_function(
         locals_.append(A.Literal(default_value(slot_type)
                                  if slot_type not in (VMType.ARR, VMType.FARR)
                                  else None))
-    cfg = build_cfg(func.code)
+    cfg = function_cfg(func)
     return _exec(cls, func, cfg, 0, [], locals_, budget, call_chain)
 
 

@@ -17,14 +17,14 @@ arguments — memoizable and foldable — which is exactly the property the
 optimizer exploits.
 
 Summaries are attached to each ``FunctionDef`` (``func.summary``) and
-rolled up per class (``cls.analysis``) by :func:`analyze_class`, which
-the class loader invokes right after verification.
+rolled up per class (``cls.analysis``) by :func:`summarize`, the first
+pass of :func:`~repro.analysis.context.analyze`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..vm.classfile import (
     ClassFile,
@@ -33,8 +33,10 @@ from ..vm.classfile import (
     K_FUNC,
     K_NATIVE,
 )
-from ..vm.opcodes import Instr, Op
-from .cfg import CFG, build_cfg
+from ..vm.opcodes import Op
+from ..vm.verifier import self_resolver
+from .cfg import CFG, function_cfg
+from .context import ClassContext
 from .costs import RECURSION_FACTOR, cost_of_instruction
 
 #: Ceiling on cost units so recursive cycles cannot overflow to silly
@@ -134,11 +136,6 @@ class ClassSummary:
         return frozenset(out)
 
 
-#: Resolves a foreign (class, function) reference to its summary, or
-#: None when unavailable (treated as unknown effects).
-ForeignLookup = Callable[[str, str], Optional[FunctionSummary]]
-
-
 @dataclass
 class _Direct:
     """Per-function facts before call-graph closure."""
@@ -154,26 +151,30 @@ class _Direct:
     foreign_calls: Dict[Tuple[str, str], float]
 
 
-def analyze_class(
-    cls: ClassFile,
-    foreign_summary: Optional[ForeignLookup] = None,
-) -> ClassSummary:
-    """Analyze every function of a *verified* class; attach summaries.
+def analyze_class(cls: ClassFile) -> ClassSummary:
+    """Summarize every function of a *verified* class on its own.
+
+    The class loader and the lint CLI run this pass through
+    :func:`~repro.analysis.context.analyze`; this entry point is for
+    callers that want the effect summaries alone.
+    """
+    return summarize(ClassContext(cls, self_resolver(cls)))
+
+
+def summarize(context: ClassContext) -> ClassSummary:
+    """The effect pass: attach summaries to every function and class.
 
     Each ``FunctionDef`` gains a ``summary`` attribute and the class a
-    ``cls.analysis`` rollup.  ``foreign_summary`` resolves CALLs into
-    other classes (the class loader passes parent-first resolution);
-    unresolvable targets poison the caller with ``unknown_effects``.
+    ``cls.analysis`` rollup.  CALLs into other classes resolve through
+    ``context.foreign`` (parent-first in the class loader); unresolvable
+    targets poison the caller with ``unknown_effects``.
     """
-    if not cls.verified:
-        raise ValueError(
-            f"class {cls.name!r} must be verified before analysis"
-        )
+    cls = context.cls
     direct: Dict[str, _Direct] = {
         name: _direct_facts(cls, func)
         for name, func in cls.functions.items()
     }
-    summaries = _close_over_calls(cls, direct, foreign_summary)
+    summaries = _close_over_calls(context, direct)
     for name, func in cls.functions.items():
         func.summary = summaries[name]
     result = ClassSummary(class_name=cls.name, functions=summaries)
@@ -181,13 +182,8 @@ def analyze_class(
     return result
 
 
-def cfg_of(func: FunctionDef) -> CFG:
-    """The function's CFG (rebuilt on demand; bodies are small)."""
-    return build_cfg(func.code)
-
-
 def _direct_facts(cls: ClassFile, func: FunctionDef) -> _Direct:
-    cfg = build_cfg(func.code)
+    cfg = function_cfg(func)
     natives: set = set()
     callbacks: set = set()
     allocates = False
@@ -232,9 +228,8 @@ def _loop_multiplier(depth: int) -> float:
 
 
 def _close_over_calls(
-    cls: ClassFile,
+    context: ClassContext,
     direct: Dict[str, _Direct],
-    foreign_summary: Optional[ForeignLookup],
 ) -> Dict[str, FunctionSummary]:
     """Propagate effects and costs over the intra-class call graph.
 
@@ -245,13 +240,11 @@ def _close_over_calls(
     scaled by :data:`~repro.analysis.costs.RECURSION_FACTOR` — depth
     cannot be known statically, only bounded by the run-time quota.
     """
-    order = _sccs({name: list(d.intra_calls) for name, d in direct.items()})
+    cls = context.cls
     summaries: Dict[str, FunctionSummary] = {}
-    for component in order:
+    for component in context.sccs:
         in_scc = set(component)
-        recursive = len(component) > 1 or any(
-            name in direct[name].intra_calls for name in component
-        )
+        recursive = context.recursive(component)
         natives: set = set()
         callbacks: set = set()
         allocates = False
@@ -290,10 +283,11 @@ def _close_over_calls(
                 unknown = unknown or callee_summary.unknown_effects
                 cost += callee_summary.cost_units * multiplier
             for (fclass, fname), multiplier in facts.foreign_calls.items():
-                resolved = (
-                    foreign_summary(fclass, fname)
-                    if foreign_summary is not None else None
+                target = (
+                    context.foreign(fclass, fname)
+                    if context.foreign is not None else None
                 )
+                resolved = getattr(target, "summary", None)
                 if resolved is None:
                     unknown = True
                     may_not_terminate = True
@@ -329,55 +323,3 @@ def _close_over_calls(
                 cost_units=cost,
             )
     return summaries
-
-
-def _sccs(graph: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan's SCCs, emitted in reverse topological order (callees
-    before callers), ignoring edges to names outside the graph."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
-    result: List[List[str]] = []
-
-    def strongconnect(node: str) -> None:
-        # Iterative Tarjan: (node, iterator position) frames.
-        work = [(node, 0)]
-        while work:
-            current, pos = work.pop()
-            if pos == 0:
-                index[current] = lowlink[current] = counter[0]
-                counter[0] += 1
-                stack.append(current)
-                on_stack[current] = True
-            recurse = False
-            edges = [e for e in graph[current] if e in graph]
-            for position in range(pos, len(edges)):
-                succ = edges[position]
-                if succ not in index:
-                    work.append((current, position + 1))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if on_stack.get(succ):
-                    lowlink[current] = min(lowlink[current], index[succ])
-            if recurse:
-                continue
-            if lowlink[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == current:
-                        break
-                result.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-
-    for node in graph:
-        if node not in index:
-            strongconnect(node)
-    return result

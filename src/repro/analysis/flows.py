@@ -34,10 +34,10 @@ server/LOB-derived).  Escape origins are ``param:{i}`` (may alias the
 caller's buffer for parameter *i*) and ``alloc:{pc}`` (the object born
 at allocation site ``pc``).
 
-Intra-class calls are closed over the call graph in SCC order exactly
-like ``effects.py`` / ``bounds.py``; recursive components fall back to
-a sound conservative certificate (everything flows everywhere, nothing
-is read-only, nothing is trap-free).
+Intra-class calls are closed over the context's call graph in SCC
+order (see ``context.py``); recursive components fall back to a sound
+conservative certificate (everything flows everywhere, nothing is
+read-only, nothing is trap-free).
 
 Every function additionally gets a :class:`StaticFeatureVector` — the
 flat numeric summary (loop bounds, flow widths, escape counts) intended
@@ -46,7 +46,7 @@ as the feature substrate for a future learned cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import LinkError
@@ -61,9 +61,9 @@ from ..vm.opcodes import FIXED_EFFECTS, Instr, Op
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
-from .bounds import _FunctionCertifier
-from .cfg import CFG, build_cfg
-from .effects import _sccs
+from .bounds import interval_states
+from .cfg import CFG, function_cfg
+from .context import ClassContext
 
 __all__ = [
     "ALLOC_OPS",
@@ -256,7 +256,7 @@ class _LabelPass:
         self.func = func
         self.code = func.code
         self.resolver = resolver
-        self.cfg = build_cfg(func.code)
+        self.cfg = function_cfg(func)
 
     # -- hooks --------------------------------------------------------------
 
@@ -552,18 +552,23 @@ class _EscapePass(_LabelPass):
 # Pass 3: trap safety (interval-backed)
 # ---------------------------------------------------------------------------
 
-def _trap_pcs(cls: ClassFile, func: FunctionDef, resolver: Resolver,
+def _trap_pcs(context: ClassContext, name: str,
               known: Dict[str, FlowCertificate]) -> List[int]:
-    """pcs of reachable instructions not proven trap-free."""
-    certifier = _FunctionCertifier(cls, func, resolver, {}, None)
-    certifier._fixpoint()
+    """pcs of reachable instructions not proven trap-free.
+
+    Walks the bounds certifier's interval states for ``name``: they
+    depend only on the resolver, so the fixpoint is solved once per
+    function and shared with the bounds pass.
+    """
+    cls = context.cls
+    certifier = interval_states(context, name)
     traps: List[int] = []
     for index, state in enumerate(certifier.in_states):
         if state is None:
             continue
         locals_, stack = list(state[0]), list(state[1])
         for pc in certifier.cfg.blocks[index].pcs:
-            ins = func.code[pc]
+            ins = certifier.code[pc]
             if _may_trap(cls, ins, stack, known):
                 traps.append(pc)
             certifier._step(pc, ins, locals_, stack)
@@ -681,8 +686,10 @@ def _features(cls: ClassFile, func: FunctionDef, cert: FlowCertificate,
     )
 
 
-def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
+def _certify_function(context: ClassContext, name: str,
                       known: Dict[str, FlowCertificate]) -> FlowCertificate:
+    cls, resolver = context.cls, context.resolver
+    func = cls.functions[name]
     taint = _TaintPass(cls, func, resolver, known)
     taint.collect(taint.solve())
 
@@ -729,57 +736,42 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
         readonly_params=readonly,
         escaping_allocs=escaping,
         local_allocs=local,
-        trap_pcs=tuple(_trap_pcs(cls, func, resolver, known)),
+        trap_pcs=tuple(_trap_pcs(context, name, known)),
     )
-    return FlowCertificate(
-        function=cert.function,
-        return_sources=cert.return_sources,
-        callback_flows=cert.callback_flows,
-        readonly_params=cert.readonly_params,
-        escaping_allocs=cert.escaping_allocs,
-        local_allocs=cert.local_allocs,
-        trap_pcs=cert.trap_pcs,
-        features=_features(cls, func, cert, taint.cfg),
-    )
+    return replace(cert, features=_features(cls, func, cert, taint.cfg))
 
 
 def analyze_flows(cls: ClassFile,
                   resolver: Optional[Resolver] = None) -> ClassFlows:
-    """Run the three flow passes over every function of a verified class.
+    """Certify the flows of every function of a verified class on its own.
+
+    The class loader and the lint CLI run this pass through
+    :func:`~repro.analysis.context.analyze`; this entry point is for
+    callers that want the flow certificates alone (``resolver``
+    defaults to the class linking against itself).
+    """
+    return certify_flows(ClassContext(cls, resolver or self_resolver(cls)))
+
+
+def certify_flows(context: ClassContext) -> ClassFlows:
+    """The flow pass: taint, escape and trap safety for every function.
 
     Attaches a :class:`FlowCertificate` to each function as
     ``func.flows`` and the class rollup as ``cls.flows``.
     """
-    if not getattr(cls, "verified", False):
-        raise ValueError(
-            f"class {cls.name!r} must be verified before flow analysis"
-        )
-    if resolver is None:
-        resolver = self_resolver(cls)
-
-    graph: Dict[str, Set[str]] = {}
-    for name, func in cls.functions.items():
-        callees: Set[str] = set()
-        for ins in func.code:
-            if ins.op is Op.CALL:
-                class_name, func_name = cls.constant(ins.arg, K_FUNC)
-                if class_name == cls.name and func_name in cls.functions:
-                    callees.add(func_name)
-        graph[name] = callees
-
+    cls = context.cls
     known: Dict[str, FlowCertificate] = {}
-    for component in _sccs(graph):
-        recursive = len(component) > 1 or any(
-            name in graph[name] for name in component
-        )
+    for component in context.sccs:
+        recursive = context.recursive(component)
         for name in sorted(component):
-            func = cls.functions[name]
             if recursive:
-                cert = _conservative_certificate(cls, func, resolver)
+                cert = _conservative_certificate(
+                    cls, cls.functions[name], context.resolver
+                )
             else:
-                cert = _certify_function(cls, func, resolver, known)
+                cert = _certify_function(context, name, known)
             known[name] = cert
-            func.flows = cert
+            cls.functions[name].flows = cert
 
     flows = ClassFlows(class_name=cls.name, functions=dict(known))
     cls.flows = flows

@@ -26,6 +26,7 @@ JagScript, so the ``examples/`` scripts lint without modification.
 from __future__ import annotations
 
 import ast
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,8 @@ from ..vm.classfile import MAGIC, ClassFile, K_CALLBACK
 from ..vm.compiler import compile_source
 from ..vm.opcodes import Op
 from ..vm.verifier import self_resolver, verify_class
-from .cfg import build_cfg
+from .cfg import function_cfg
+from .context import analyze
 from .effects import ALLOC_OPS, ClassSummary, analyze_class
 
 ERROR = "error"
@@ -70,7 +72,7 @@ def lint_class(cls: ClassFile) -> List[Finding]:
     referenced_callbacks: set = set()
     for name, func in cls.functions.items():
         where = f"{cls.name}.{name}"
-        cfg = build_cfg(func.code)
+        cfg = function_cfg(func)
         fsum = summary.functions[name]
         for loop in cfg.loops:
             if loop.unbounded:
@@ -244,11 +246,14 @@ def _exit_code(failures: int, errors: int, strict: bool) -> int:
 
 
 def _gather(targets: List[Path], sink: List[dict]):
-    """Load+verify every class under ``targets``, yielding the good ones.
+    """Load, verify and analyze every class under ``targets``.
 
-    Load and verify failures are appended to ``sink`` as structured
-    records (and count toward exit code 2); callers print them in their
-    own format.
+    Yields the classes that verified, each carrying every certificate
+    CREATE FUNCTION would attach: the load-time pipeline runs with the
+    resolver that verified the class (the standard callback table), so
+    each subcommand only renders.  Load and verify failures are
+    appended to ``sink`` as structured records (and count toward exit
+    code 2); callers print them in their own format.
     """
     for target in _expand_targets(targets):
         try:
@@ -261,18 +266,30 @@ def _gather(targets: List[Path], sink: List[dict]):
             sink.append({"target": str(target), "empty": True})
             continue
         for label, cls in classes:
+            resolver = self_resolver(cls, callbacks=_standard_callbacks())
             try:
-                verify_class(
-                    cls,
-                    self_resolver(cls, callbacks=_standard_callbacks()),
-                )
+                verify_class(cls, resolver)
             except (VerifyError, LinkError) as exc:
                 sink.append({
                     "target": str(target), "label": label,
                     "error": f"[verify] {exc}",
                 })
                 continue
+            analyze(cls, resolver)
             yield label, cls
+
+
+def _finish(as_json: bool, documents: List[dict], failures: List[dict],
+            errors: int, strict: bool) -> int:
+    """Print the run (one JSON document, or the text failures) and
+    return its exit code."""
+    if as_json:
+        print(json.dumps(
+            {"classes": documents, "failures": failures}, indent=2
+        ))
+    else:
+        _print_failures(failures)
+    return _exit_code(_failure_count(failures), errors, strict)
 
 
 def _print_failures(sink: List[dict]) -> None:
@@ -387,10 +404,6 @@ def bounds_main(argv: Optional[List[str]] = None) -> int:
     reported, not failed — an intentionally input-dependent UDF does not
     break CI.  A target that cannot be loaded or verified exits 2.
     """
-    import json
-
-    from .bounds import certify_class
-
     parser = _cli_parser(
         "python -m repro.analysis bounds",
         "Static resource-bound certification over UDF classes.",
@@ -401,7 +414,7 @@ def bounds_main(argv: Optional[List[str]] = None) -> int:
     failures: List[dict] = []
     documents: List[dict] = []
     for label, cls in _gather(opts.targets, failures):
-        certificates = certify_class(cls)
+        certificates = cls.certificates
         if opts.json:
             documents.append({
                 "target": label,
@@ -418,13 +431,7 @@ def bounds_main(argv: Optional[List[str]] = None) -> int:
             print("  " + cert.describe())
             for loop in cert.loops:
                 print("    " + loop.describe())
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), 0, opts.strict)
+    return _finish(opts.json, documents, failures, 0, opts.strict)
 
 
 def inline_main(argv: Optional[List[str]] = None) -> int:
@@ -436,10 +443,7 @@ def inline_main(argv: Optional[List[str]] = None) -> int:
     genuinely needs a loop is a fact, not a CI regression; only a
     target that cannot be loaded or verified fails the run (exit 2).
     """
-    import json
-
-    from .decompile import InlineTemplate, decompile_class
-    from .effects import analyze_class as _analyze
+    from .decompile import InlineTemplate
 
     parser = _cli_parser(
         "python -m repro.analysis inline",
@@ -451,11 +455,7 @@ def inline_main(argv: Optional[List[str]] = None) -> int:
     failures: List[dict] = []
     documents: List[dict] = []
     for label, cls in _gather(opts.targets, failures):
-        # The decompiler consults the effect summaries; the lint path
-        # loads classes without a ClassLoader, so run the analysis here
-        # the way the loader would have.
-        _analyze(cls)
-        results = decompile_class(cls)
+        results = {name: func.inline for name, func in cls.functions.items()}
         if opts.json:
             documents.append({
                 "target": label,
@@ -479,13 +479,7 @@ def inline_main(argv: Optional[List[str]] = None) -> int:
                 )
             else:
                 print(f"  {name}: {result.describe()}")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), 0, opts.strict)
+    return _finish(opts.json, documents, failures, 0, opts.strict)
 
 
 def flows_main(argv: Optional[List[str]] = None) -> int:
@@ -499,10 +493,7 @@ def flows_main(argv: Optional[List[str]] = None) -> int:
     reject), ``accept`` otherwise.  ``--strict`` turns refusals into
     exit 1; unloadable/unverifiable targets always exit 2.
     """
-    import json
-
     from ..core.callbacks import standard_sink_callbacks
-    from .flows import analyze_flows
 
     parser = _cli_parser(
         "python -m repro.analysis flows",
@@ -516,9 +507,7 @@ def flows_main(argv: Optional[List[str]] = None) -> int:
     documents: List[dict] = []
     refusals = 0
     for label, cls in _gather(opts.targets, failures):
-        flows = analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
+        flows = cls.flows
         leaks = flows.tainted_sink_flows(sinks)
         verdict = "refuse (static:flows)" if leaks else "accept"
         if leaks:
@@ -552,13 +541,7 @@ def flows_main(argv: Optional[List[str]] = None) -> int:
                 f"{{{', '.join(flow.tainted)}}}"
             )
         print(f"  verdict: {verdict}")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), refusals, opts.strict)
+    return _finish(opts.json, documents, failures, refusals, opts.strict)
 
 
 def tier_main(argv: Optional[List[str]] = None) -> int:
@@ -572,11 +555,7 @@ def tier_main(argv: Optional[List[str]] = None) -> int:
     — it is a fact, not a CI regression — so refusals only gate with
     ``--strict``; unloadable/unverifiable targets always exit 2.
     """
-    import json
-
     from ..vm.tier import kernel_eligibility
-    from .bounds import certify_class
-    from .flows import analyze_flows
 
     parser = _cli_parser(
         "python -m repro.analysis tier",
@@ -589,14 +568,6 @@ def tier_main(argv: Optional[List[str]] = None) -> int:
     documents: List[dict] = []
     refused = 0
     for label, cls in _gather(opts.targets, failures):
-        # Eligibility reads the same per-function certificates the
-        # loader attaches (effects, bounds, flows); the lint path loads
-        # classes bare, so run those passes here.
-        analyze_class(cls)
-        certify_class(cls)
-        analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
         verdicts = {
             name: kernel_eligibility(cls.functions[name])
             for name in sorted(cls.functions)
@@ -621,30 +592,20 @@ def tier_main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {name}: eligible")
             else:
                 print(f"  {name}: refused ({refusal})")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), refused, opts.strict)
+    return _finish(opts.json, documents, failures, refused, opts.strict)
 
 
 def report_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.analysis report`` — every certificate, one doc.
 
-    Runs the whole load-time pipeline (effects, resource bounds, derived
-    cost hints, decompilation, information flows) over each target and
-    emits a single JSON document per run: what CREATE FUNCTION would
-    know about the UDF, in machine-readable form.  Always JSON.
+    Renders what the load-time pipeline attached to each target
+    (effects, resource bounds, derived cost hints, decompilation,
+    information flows) as a single JSON document per run: what CREATE
+    FUNCTION knows about the UDF, in machine-readable form.  Always
+    JSON.
     """
-    import json
-
     from ..core.callbacks import standard_sink_callbacks
-    from .bounds import certify_class
     from .costs import derive_cost_hints
-    from .decompile import decompile_class
-    from .flows import analyze_flows
 
     parser = _cli_parser(
         "python -m repro.analysis report",
@@ -657,16 +618,11 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     failures: List[dict] = []
     documents: List[dict] = []
     for label, cls in _gather(opts.targets, failures):
-        summary = analyze_class(cls)
-        certificates = certify_class(cls)
-        inline_results = decompile_class(cls)
-        flows = analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
+        flows = cls.flows
         functions = {}
         for name in sorted(cls.functions):
-            fsum = summary.functions[name]
-            cert = certificates.functions[name]
+            func = cls.functions[name]
+            fsum, cert = func.summary, func.certificate
             hints = derive_cost_hints(fsum, cert)
             functions[name] = {
                 "effects": _summary_dict(fsum),
@@ -676,7 +632,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
                     "selectivity": hints.selectivity,
                     "derived": hints.derived,
                 },
-                "inline": _inline_dict(inline_results[name]),
+                "inline": _inline_dict(func.inline),
                 "flows": flows.functions[name].as_dict(),
             }
         leaks = flows.tainted_sink_flows(sinks)
@@ -687,27 +643,21 @@ def report_main(argv: Optional[List[str]] = None) -> int:
             "findings": [_finding_dict(f) for f in lint_class(cls)],
             "flow_verdict": "refuse" if leaks else "accept",
         })
-    print(json.dumps({"classes": documents, "failures": failures}, indent=2))
-    return _exit_code(_failure_count(failures), 0, opts.strict)
+    return _finish(True, documents, failures, 0, opts.strict)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    import json
     import sys
 
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bounds":
-        return bounds_main(argv[1:])
-    if argv and argv[0] == "inline":
-        return inline_main(argv[1:])
-    if argv and argv[0] == "flows":
-        return flows_main(argv[1:])
-    if argv and argv[0] == "tier":
-        return tier_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
+    subcommands = {
+        "bounds": bounds_main, "inline": inline_main, "flows": flows_main,
+        "tier": tier_main, "report": report_main,
+    }
+    if argv and argv[0] in subcommands:
+        return subcommands[argv[0]](argv[1:])
 
     parser = _cli_parser(
         "python -m repro.analysis",
@@ -720,7 +670,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[dict] = []
     documents: List[dict] = []
     for label, cls in _gather(opts.targets, failures):
-        analyze_class(cls)
         findings = lint_class(cls)
         errors += sum(1 for f in findings if f.level == ERROR)
         if opts.json:
@@ -743,10 +692,4 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("  " + finding.render())
         else:
             print("  clean: no findings")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), errors, opts.strict)
+    return _finish(opts.json, documents, failures, errors, opts.strict)

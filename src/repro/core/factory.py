@@ -113,14 +113,13 @@ def validate_definition(
 ) -> Optional[object]:
     """Registration-time checks: fail at CREATE FUNCTION, not mid-query.
 
-    For sandboxed designs, returns a ``(summary, certificate, inline,
-    flows)`` tuple — the entry function's static effect summary
-    (``repro.analysis.effects.FunctionSummary``), resource certificate
-    (``repro.analysis.bounds.ResourceCertificate``), decompilation
-    result (``repro.analysis.decompile.InlineTemplate`` or
-    ``InlineRefusal``), and flow certificate
-    (``repro.analysis.flows.FlowCertificate``); native designs are
-    opaque host code and return ``None``.
+    For sandboxed designs, returns the
+    :class:`~repro.vm.machine.LoadedUDF` that compiling, verifying and
+    analyzing the payload produced; it stays loaded in the server VM,
+    so its entry function's ``summary``, ``certificate``, ``inline``
+    and ``flows`` are what the registry records and what every later
+    query runs.  Native designs are opaque host code and return
+    ``None``.
     """
     if definition.design.is_sandboxed:
         from .sandbox import load_sandbox_payload
@@ -129,7 +128,7 @@ def validate_definition(
         # malformed or unsafe classfile never reaches the catalog, and a
         # classfile whose inferred effects exceed its callback grant is
         # rejected by the security manager's load-time pre-check.
-        return load_sandbox_payload(definition, env, probe_only=True)
+        return load_sandbox_payload(definition, env)
     else:
         func = resolve_native_payload(definition.payload)
         nparams = len(definition.signature.param_types)

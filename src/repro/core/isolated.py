@@ -484,9 +484,14 @@ class RemoteExecutor(UDFExecutor):
                 definition, getattr(env, "batch_size", 1)
             )
         if definition.design.is_sandboxed:
+            from .sandbox import registered_udf
+
+            # Ship the class registration compiled and verified; the
+            # workers decode and re-verify it on every query, which is
+            # the isolation boundary.
             worker_payload = (
                 "jaguar",
-                bytes(self._sandbox_classfile_bytes(definition, env)),
+                registered_udf(definition, env).main_class.to_bytes(),
                 definition.entry,
                 tuple(definition.callbacks),
                 definition.fuel,
@@ -517,19 +522,6 @@ class RemoteExecutor(UDFExecutor):
         self._pool = WorkerPool(
             definition, env, parallelism, buffer_size, _dumps(worker_payload)
         )
-
-    @staticmethod
-    def _sandbox_classfile_bytes(
-        definition: UDFDefinition, env: ServerEnvironment
-    ) -> bytes:
-        from ..vm.classfile import MAGIC
-        from .sandbox import compile_udf_source
-
-        if definition.payload[:4] == MAGIC:
-            return definition.payload
-        source = definition.payload.decode("utf-8")
-        cls = compile_udf_source(source, f"udf_{definition.name}", env)
-        return cls.to_bytes()
 
     @property
     def _process(self):

@@ -49,21 +49,16 @@ def compile_udf_source(
 
 
 def load_sandbox_payload(
-    definition: UDFDefinition,
-    env: ServerEnvironment,
-    probe_only: bool = False,
-):
-    """Turn a sandbox payload into a loaded (verified) UDF.
+    definition: UDFDefinition, env: ServerEnvironment
+) -> LoadedUDF:
+    """Compile (for source payloads), verify, analyze and load a UDF.
 
-    ``probe_only`` runs the full pipeline and then unloads — used at
-    registration time to reject bad payloads without keeping state.  In
-    that mode the return value is a ``(summary, certificate, inline,
-    flows)`` tuple: the entry function's static effect summary
-    (``FunctionSummary``), its resource certificate
-    (``ResourceCertificate``), its decompilation result
-    (``InlineTemplate`` or ``InlineRefusal``), and its flow certificate
-    (``FlowCertificate``), all of which the registry records on the
-    definition; otherwise the :class:`LoadedUDF` is returned.
+    The :class:`LoadedUDF` stays in the server VM under the UDF's name:
+    registration calls this once, the in-process executors run the
+    loaded classes and the isolated executor ships the verified main
+    class to its workers, so no later query repeats the work.  A
+    payload whose entry point is missing or mismatches the declared
+    signature is unloaded again before the error propagates.
     """
     payload = definition.payload
     class_name = f"udf_{definition.name}"
@@ -81,8 +76,6 @@ def load_sandbox_payload(
 
     vm = env.vm
     load_name = definition.name.lower()
-    if probe_only:
-        load_name = f"__probe_{load_name}"
     # None quotas inherit the VM's QuotaPolicy; explicit registration
     # values derive a per-UDF policy without touching anything shared.
     loaded = vm.load_udf(
@@ -114,15 +107,17 @@ def load_sandbox_payload(
             f"{list(definition.signature.param_types)} -> "
             f"{definition.signature.ret_type}"
         )
-    if probe_only:
-        vm.unload_udf(load_name)
-        return (
-            getattr(func, "summary", None),
-            getattr(func, "certificate", None),
-            getattr(func, "inline", None),
-            getattr(func, "flows", None),
-        )
     return loaded
+
+
+def registered_udf(
+    definition: UDFDefinition, env: ServerEnvironment
+) -> LoadedUDF:
+    """The UDF registration loaded, or a fresh load when it is absent
+    (a definition that bypassed the registry, or one whose in-process
+    executor was closed)."""
+    existing = env.vm.loaded_udfs.get(definition.name.lower())
+    return existing or load_sandbox_payload(definition, env)
 
 
 class SandboxExecutor(UDFExecutor):
@@ -135,9 +130,7 @@ class SandboxExecutor(UDFExecutor):
         use_jit: bool = True,
     ):
         super().__init__(definition, env)
-        vm = env.vm
-        existing = vm.loaded_udfs.get(definition.name.lower())
-        self._loaded = existing or load_sandbox_payload(definition, env)
+        self._loaded = registered_udf(definition, env)
         self._use_jit = use_jit
         self._context = None
         self._reservation = None

@@ -179,7 +179,8 @@ def _admit_inline(definition: UDFDefinition, inline: Optional[object]):
     ``handle`` parameters reach the VM as plain ints, but the call path
     *mints* each handle against the query's callback binding — a side
     effect inlining would skip — so handle-taking templates downgrade to
-    a refusal.  Native designs (no probe result) are opaque host code.
+    a refusal.  Native designs (no loaded entry point) are opaque host
+    code.
     """
     from ..analysis.decompile import (
         REASON_IMPURE,
@@ -221,19 +222,25 @@ class UDFRegistry:
                 f"UDF {definition.name!r} is already registered"
             )
         # Validate eagerly: a bad payload should fail at CREATE FUNCTION
-        # time, not mid-query.  For sandboxed designs validation also
-        # returns the entry point's static effect summary, from which
-        # cost hints are derived when the registration declared none.
+        # time, not mid-query.  For sandboxed designs validation loads
+        # the UDF once; its entry point carries the static effect
+        # summary, from which cost hints are derived when the
+        # registration declared none.
         from .factory import validate_definition
 
-        probe = validate_definition(definition, self.environment)
-        summary, certificate, inline, flows = (
-            probe if probe is not None else (None, None, None, None)
+        loaded = validate_definition(definition, self.environment)
+        entry = (
+            loaded.main_class.functions[definition.entry]
+            if loaded is not None else None
         )
+        summary = getattr(entry, "summary", None)
+        certificate = getattr(entry, "certificate", None)
         definition.analysis = summary
         definition.certificate = certificate
-        definition.inline = _admit_inline(definition, inline)
-        definition.flows = flows
+        definition.inline = _admit_inline(
+            definition, getattr(entry, "inline", None)
+        )
+        definition.flows = getattr(entry, "flows", None)
         if definition.cost is None and summary is not None:
             from ..analysis.costs import derive_cost_hints
 

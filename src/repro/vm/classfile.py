@@ -108,6 +108,9 @@ class FunctionDef:
     dispatch: Optional[Tuple] = field(
         default=None, compare=False, repr=False
     )
+    #: :class:`~repro.analysis.cfg.CFG` of ``code``, built once by the
+    #: load-time analysis and shared by every pass; never serialized.
+    cfg: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.local_types) < len(self.param_types):

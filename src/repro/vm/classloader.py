@@ -97,48 +97,32 @@ class ClassLoader:
             # Make the class visible to its own verification so that
             # intra-class (and self-recursive) calls resolve.
             self._classes[cls.name] = cls
-            verify_class(cls, self._resolver())
-            self._analyze(cls)
+            resolver = self._resolver()
+            verify_class(cls, resolver)
+            self._analyze(cls, resolver)
         except Exception:
             del self._classes[cls.name]
             raise
         return cls
 
-    def _analyze(self, cls: ClassFile) -> None:
-        """Attach load-time summaries and resource certificates.
+    def _analyze(self, cls: ClassFile, resolver: Resolver) -> None:
+        """Attach every load-time certificate to a just-verified class.
 
-        Runs right after verification, while the class is visible to this
-        loader, so cross-class CALL effects resolve parent-first exactly
-        like the verifier's signature resolution did.  The certifier runs
-        second: its transitive fuel/memory bounds substitute callee
-        certificates at call sites, which the effect pass has just made
-        resolvable.  The decompiler runs last: it gates on the effect
-        summaries the first pass just attached.
+        :func:`repro.analysis.context.analyze` decides the pass order;
+        this loader supplies the resolver that verified the class and
+        parent-first lookup of the functions its cross-class CALLs name,
+        so foreign effects and certificates resolve exactly like the
+        verifier's signatures did.
         """
-        from ..analysis.bounds import certify_class
-        from ..analysis.decompile import decompile_class
-        from ..analysis.effects import analyze_class
-        from ..analysis.flows import analyze_flows
+        from ..analysis.context import analyze
 
-        def foreign_summary(class_name: str, func_name: str):
+        def foreign(class_name: str, func_name: str) -> Optional[FunctionDef]:
             try:
-                __, func = self.resolve_function(class_name, func_name)
+                return self.resolve_function(class_name, func_name)[1]
             except LinkError:  # pragma: no cover - verifier linked eagerly
                 return None
-            return getattr(func, "summary", None)
 
-        def foreign_certificate(class_name: str, func_name: str):
-            try:
-                __, func = self.resolve_function(class_name, func_name)
-            except LinkError:  # pragma: no cover - verifier linked eagerly
-                return None
-            return getattr(func, "certificate", None)
-
-        analyze_class(cls, foreign_summary=foreign_summary)
-        certify_class(cls, resolver=self._resolver(),
-                      foreign_certificate=foreign_certificate)
-        analyze_flows(cls, resolver=self._resolver())
-        decompile_class(cls)
+        analyze(cls, resolver, foreign)
 
     def _resolver(self) -> Resolver:
         def function_signature(class_name: str, func_name: str) -> Signature:
